@@ -1,28 +1,15 @@
 """Closed-form cost model: predicted vs event-engine measured cycles.
 
-Two studies of the calibrated analytic cost model
-(:mod:`repro.analysis.cost`):
+Differential accuracy of the calibrated analytic cost model
+(:mod:`repro.analysis.cost`): for a sweep of bitwidth pairs x blocking
+points x GEMM shapes, compare
+:func:`repro.analysis.cost.predict_gemm` (closed form, no engine
+execution after the one-off per-bitwidth calibration) against the
+cycle-faithful event engine running the same GEMM.  Smoke mode sweeps
+a representative subset; full mode covers every 2..8-bit pair.
 
-1. **Differential accuracy** -- for a sweep of bitwidth pairs x
-   blocking points x GEMM shapes, compare
-   :func:`repro.analysis.cost.predict_gemm` (closed form, no engine
-   execution after the one-off per-bitwidth calibration) against the
-   cycle-faithful event engine running the same GEMM.  The gate is the
-   tentpole's accuracy bound: **median error < 1%, max error < 5%**.
-   Smoke mode sweeps a representative subset; full mode covers every
-   2..8-bit pair.
-2. **Analytic prefilter campaign** -- tune the same graph twice into
-   fresh caches, exhaustively and with ``analytic_prefilter=True``, and
-   require (a) identical winners per layer and (b) the prefiltered
-   campaign wall-clock-times at most ~half of the scored candidate
-   space.  Smoke mode uses the shipped demo CNN; full mode also runs
-   the tiny-resnet18 campaign.
-
-Targets (recorded in ``BENCH_costmodel.json`` at the repo root):
-
-* differential: median < 1%, max < 5% across the sweep;
-* prefilter: winners identical to the exhaustive sweep, timed
-  fraction <= 0.55 of the scored space (0.5 plus small-space slack).
+Target (recorded in ``BENCH_costmodel.json`` at the repo root): median
+error < 1%, max error < 5% across the sweep.
 
 Run standalone for the full sweep::
 
@@ -36,15 +23,11 @@ import argparse
 import json
 import pathlib
 import statistics
-import tempfile
-import time
 
 import numpy as np
 
 from repro.core.config import BlockingParams, MixGemmConfig
 from repro.core.gemm import MixGemm
-from repro.robustness.faults import demo_graph, demo_input
-from repro.tuning import TuneCache, tune_graph
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
 JSON_PATH = REPO_ROOT / "BENCH_costmodel.json"
@@ -53,7 +36,6 @@ RESULTS_PATH = pathlib.Path(__file__).parent / "results" / "costmodel.txt"
 TARGETS = {
     "median_error_pct": 1.0,
     "max_error_pct": 5.0,
-    "max_timed_fraction": 0.55,
 }
 
 #: Representative subset for the CI smoke gate (symmetric, asymmetric,
@@ -110,81 +92,15 @@ def differential_study(bitwidths, *, shapes=SHAPES,
     }
 
 
-def _resnet_graph(arch: str = "resnet18"):
-    from repro.models.builders import build_tiny
-    from repro.nn.layers import seed_init
-    from repro.runtime import export_model
-
-    seed_init(13)
-    model = build_tiny(arch, act_bits=8, weight_bits=8)
-    model.eval()
-    return export_model(model, name=arch)
-
-
-def prefilter_study(graph, x, cache_dir, name, *,
-                    event_mac_limit=1 << 16) -> dict:
-    """Exhaustive vs analytically-prefiltered campaign on one graph.
-
-    The timed fraction is reported over the layers whose candidate
-    space was large enough to filter (spaces of <= 3 candidates pass
-    through the prefilter whole, by design -- there is nothing to
-    save there, and counting them would dilute the measurement).
-    """
-    base = pathlib.Path(cache_dir)
-    t0 = time.perf_counter()
-    exhaustive = tune_graph(graph, x,
-                            cache=TuneCache(base / f"{name}-full"),
-                            event_mac_limit=event_mac_limit)
-    exhaustive_s = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    filtered = tune_graph(graph, x,
-                          cache=TuneCache(base / f"{name}-pre"),
-                          event_mac_limit=event_mac_limit,
-                          analytic_prefilter=True)
-    filtered_s = time.perf_counter() - t0
-
-    winners_match = all(
-        (le.blocking, le.backend, le.cores) ==
-        (lf.blocking, lf.backend, lf.cores)
-        for le, lf in zip(exhaustive.layers, filtered.layers))
-    swept = [lo for lo in filtered.layers if not lo.cached]
-    filterable = [lo for lo in swept if lo.candidates_scored > 3]
-    scored = sum(lo.candidates_scored for lo in filterable)
-    timed = sum(lo.candidates for lo in filterable)
-    return {
-        "name": name,
-        "layers": len(filtered.layers),
-        "winners_match": bool(winners_match),
-        "candidates_scored": scored,
-        "candidates_timed": timed,
-        "timed_fraction": timed / scored if scored else 0.0,
-        "exhaustive_seconds": exhaustive_s,
-        "prefiltered_seconds": filtered_s,
-        "campaign_speedup": (exhaustive_s / filtered_s
-                             if filtered_s > 0 else 1.0),
-    }
-
-
 def run_suite(*, smoke: bool = False) -> dict:
     bitwidths = SMOKE_BITWIDTHS if smoke else _full_bitwidths()
     shapes = SHAPES[:2] if smoke else SHAPES
     differential = differential_study(bitwidths, shapes=shapes)
-    campaigns = []
-    with tempfile.TemporaryDirectory(prefix="repro-cost-bench-") as tmp:
-        demo = demo_graph()
-        x = demo_input(batch=2, size=6, seed=0)
-        campaigns.append(prefilter_study(demo, x, tmp, "demo"))
-        if not smoke:
-            rn = _resnet_graph()
-            xr = np.random.default_rng(7).standard_normal((2, 1, 12, 12))
-            campaigns.append(prefilter_study(rn, xr, tmp, "resnet18",
-                                             event_mac_limit=0))
     return {
         "generated_by": "benchmarks/bench_costmodel.py",
         "mode": "smoke" if smoke else "full",
         "targets": TARGETS,
         "differential": differential,
-        "prefilter": campaigns,
     }
 
 
@@ -200,16 +116,6 @@ def check_gate(payload: dict) -> list:
         problems.append(
             f"max prediction error {diff['max_error_pct']:.3f}% "
             f">= {TARGETS['max_error_pct']}% bound")
-    for camp in payload["prefilter"]:
-        if not camp["winners_match"]:
-            problems.append(
-                f"{camp['name']}: prefiltered campaign picked different "
-                f"winners than the exhaustive sweep")
-        if camp["timed_fraction"] > TARGETS["max_timed_fraction"]:
-            problems.append(
-                f"{camp['name']}: timed {camp['timed_fraction']:.0%} of "
-                f"the scored space (> "
-                f"{TARGETS['max_timed_fraction']:.0%})")
     return problems
 
 
@@ -223,18 +129,7 @@ def render(payload: dict) -> str:
         f"{diff['median_error_pct']:.4f}%, max "
         f"{diff['max_error_pct']:.4f}% "
         f"({diff['exact_points']} bit-exact predictions)",
-        "",
-        f"{'campaign':>9} {'layers':>6} {'scored':>7} {'timed':>6} "
-        f"{'fraction':>8} {'winners':>8} {'speedup':>8}",
     ]
-    for camp in payload["prefilter"]:
-        lines.append(
-            f"{camp['name']:>9} {camp['layers']:>6} "
-            f"{camp['candidates_scored']:>7} "
-            f"{camp['candidates_timed']:>6} "
-            f"{camp['timed_fraction']:>7.0%} "
-            f"{'match' if camp['winners_match'] else 'DIFFER':>8} "
-            f"{camp['campaign_speedup']:>7.2f}x")
     return "\n".join(lines)
 
 

@@ -22,9 +22,8 @@ Cooperating layers, surfaced together through ``repro check``:
 * **Cost analyzer** (:mod:`repro.analysis.cost`) -- a closed-form,
   calibration-verified cycle model predicting per-layer cycles,
   instruction counts and stall breakdowns without executing the event
-  engine; powers ``repro check --cost`` (COST-* diagnostics), the
-  autotuner's analytic pre-filter and ``predict_graph_cycles()`` over
-  compiled plans.
+  engine; powers ``repro check --cost`` (COST-* diagnostics) and
+  ``predict_graph_cycles()`` over compiled plans.
 
 Findings are :class:`~repro.analysis.diagnostics.Diagnostic` records
 collected into a :class:`~repro.analysis.diagnostics.DiagnosticReport`,

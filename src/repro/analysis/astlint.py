@@ -52,14 +52,14 @@ hoisted out of the per-call hot path):
   memory outlives the process -- a leaked segment stays in
   ``/dev/shm`` until reboot, which is exactly the failure mode the
   zero-copy plan distribution (``runtime/plan.py``) must never have.
-* **REP012** -- on-disk cache/state writers (the autotuner result cache,
-  ``tuning/cache.py``) must publish atomically: any function that
-  ``open()``\\ s a file for writing (or calls ``Path.write_text``/
-  ``write_bytes``) must also call ``os.replace`` -- serialize to a
-  temporary file in the same directory, then rename.  A concurrent
-  reader (or a crash mid-write) must see the old entry or the new one,
-  never a torn file; ``compile_graph(..., tuned=True)`` reads this
-  cache from live serving processes.
+* **REP012** -- on-disk cache/state writers (the cost-model calibration
+  cache, ``analysis/cost/calibrate.py``) must publish atomically: any
+  function that ``open()``\\ s a file for writing (or calls
+  ``Path.write_text``/``write_bytes``) must also call ``os.replace`` --
+  serialize to a temporary file in the same directory, then rename.  A
+  concurrent reader (or a crash mid-write) must see the old entry or
+  the new one, never a torn file; every process that compiles or runs
+  a fast-path plan reads this cache through the timing oracle.
 * **REP013** -- no hard-coded cycle/latency cost constants outside the
   ISA cost table homes (``core/isa.py``, ``core/config.py``) and the
   cost model that consumes them (``analysis/cost/``): a nonzero
@@ -124,10 +124,7 @@ LOCK_FACTORY_SUFFIXES = (
 #: Module path suffixes (POSIX form) whose on-disk writes must publish
 #: atomically (REP012): persistent caches read concurrently by live
 #: serving processes.
-ATOMIC_STATE_SUFFIXES = (
-    "tuning/cache.py",
-    "analysis/cost/calibrate.py",
-)
+ATOMIC_STATE_SUFFIXES = ("analysis/cost/calibrate.py",)
 
 #: Module path suffixes allowed to spell cycle/latency costs as
 #: integer literals (REP013): the ISA cost table and its config-level

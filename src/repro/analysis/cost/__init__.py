@@ -17,16 +17,16 @@ Three cooperating modules:
 * :mod:`.calibrate` -- the small set of calibrated overhead
   coefficients (pipeline fill/drain intercept, stall-counter split)
   fitted once per cost-table content digest against instrumented
-  event-engine probes, persisted in an atomic content-keyed cache with
-  the same discipline as :mod:`repro.tuning.cache`.
+  event-engine probes, persisted in an atomic content-keyed on-disk
+  cache (temp file + ``os.replace``, lint rule REP012).
 * :mod:`.checker` -- ``repro check --cost``: COST-MODEL-DRIFT,
   COST-BLOCKING-INEFFICIENT and COST-IMBALANCE diagnostics over a
   deployment graph, rendered through the shared text/JSON/SARIF
   machinery.
 
 :func:`predict_gemm` / :func:`predict_graph_cycles` are the O(1) APIs
-the autotuner pre-filter (``repro tune --analytic-prefilter``), the DSE
-sweeps and the ``repro run --compiled`` per-layer stats consume.
+the DSE sweeps and the ``repro run --compiled`` per-layer stats
+consume.
 """
 
 from __future__ import annotations

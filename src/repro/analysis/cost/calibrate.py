@@ -22,8 +22,7 @@ calibration whose holdouts reproduce the engine bit for bit is marked
 in the fast path's timing oracle.
 
 Fitted calibrations persist in an atomic content-keyed cache
-(:class:`CostCache`) with the same discipline as
-:mod:`repro.tuning.cache`: entries are keyed by the digest of the ISA
+(:class:`CostCache`): entries are keyed by the digest of the ISA
 cost table plus the tile signature, writes publish via ``os.replace``
 (REP012), and corrupt / version-skewed / digest-mismatched entries are
 reported once as a structured
@@ -376,10 +375,15 @@ class CostCache:
 #: (or calibration) per distinct tile law per process.
 _MEMO: dict[tuple[str, str], TileCalibration] = {}
 
+#: Cache directories a ``put`` already failed on: warned about once,
+#: after which calibrations there live in ``_MEMO`` only.
+_UNWRITABLE: set[pathlib.Path] = set()
+
 
 def clear_calibration_memo() -> None:
     """Drop the in-process memo (tests re-pointing the cache dir)."""
     _MEMO.clear()
+    _UNWRITABLE.clear()
 
 
 def get_tile_calibration(config: MixGemmConfig,
@@ -391,7 +395,10 @@ def get_tile_calibration(config: MixGemmConfig,
     A miss at every level runs :func:`calibrate_tile` (the only code
     path that executes the event engine) and persists the result, so
     any later process with the same cost table predicts without ever
-    touching the engine.
+    touching the engine.  A cache that cannot be written (read-only
+    home, full disk, a file where the directory should be) warns once
+    with a :class:`~repro.robustness.errors.ReliabilityWarning` and
+    keeps the calibration in memory only.
     """
     if costs is None:
         costs = KernelCosts()
@@ -405,7 +412,15 @@ def get_tile_calibration(config: MixGemmConfig,
     calibration = cache.get(config, costs)
     if calibration is None:
         calibration = calibrate_tile(config, costs)
-        cache.put(calibration)
+        try:
+            cache.put(calibration)
+        except OSError as exc:
+            if cache.path not in _UNWRITABLE:
+                _UNWRITABLE.add(cache.path)
+                warnings.warn(ReliabilityWarning(
+                    f"cost cache {cache.path} is not writable "
+                    f"({type(exc).__name__}: {exc}); keeping "
+                    f"calibrations in memory only"), stacklevel=2)
     _MEMO[memo_key] = calibration
     return calibration
 

@@ -158,8 +158,7 @@ def check_cost(graph, *,
                     f"M={assumed_m})"
                 ),
                 hint=(f"tune toward mc={b.mc} nc={b.nc} kc={b.kc} "
-                      f"mr={b.mr} nr={b.nr} (repro tune confirms with "
-                      f"the bit-exactness gate)"),
+                      f"mr={b.mr} nr={b.nr}"),
                 node=label, path=path,
             ))
 

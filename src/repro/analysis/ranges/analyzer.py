@@ -130,7 +130,7 @@ class RangeAnalysis:
     records: dict[str, GemmRangeRecord] = field(default_factory=dict)
 
     def table(self) -> list[dict]:
-        """Queryable per-layer bounds table (DSE/autotuner input)."""
+        """Queryable per-layer bounds table (DSE input)."""
         rows = []
         for label, r in self.records.items():
             rows.append({

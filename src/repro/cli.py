@@ -9,11 +9,7 @@ Commands mirror the evaluation:
   ``--compiled`` to serve from an ahead-of-time compiled plan;
 * ``serve``           -- batched multi-worker serving load test over
   compiled inference plans (``--processes`` shards across worker
-  processes on a zero-copy shared-memory plan, ``--tuned`` serves at
-  autotuned per-layer blocking);
-* ``tune``            -- per-layer autotuning campaign over a graph;
-  winners persist in an on-disk cache consulted by
-  ``run --tuned`` / ``serve --tuned``;
+  processes on a zero-copy shared-memory plan);
 * ``figure6``         -- the square-GEMM speed-up grid;
 * ``figure7``         -- the accuracy/throughput Pareto points;
 * ``table1|2|3``      -- the three tables;
@@ -74,25 +70,11 @@ def _cmd_gemm(args: argparse.Namespace) -> int:
     return 0 if exact else 1
 
 
-def _tune_cache(args: argparse.Namespace):
-    """The TuneCache named by ``--tune-cache``, or None for the default."""
-    path = getattr(args, "tune_cache", "")
-    if not path:
-        return None
-    from repro.tuning import TuneCache
-
-    return TuneCache(path)
-
-
 def _cmd_run(args: argparse.Namespace) -> int:
     from repro.robustness.faults import demo_graph, demo_input
     from repro.runtime.engine import InferenceEngine
     from repro.runtime.graph import GraphModel
 
-    if args.tuned and not args.compiled:
-        print("--tuned requires --compiled (tuned blocking lives in "
-              "compiled plans)", file=sys.stderr)
-        return 2
     if args.model:
         graph = GraphModel.load(args.model)
     else:
@@ -103,16 +85,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
         gemm_backend=args.backend, compiled=args.compiled,
     )
     if args.compiled and args.guard_level == "off":
-        plan = engine.compile(tuned=args.tuned,
-                              tune_cache=_tune_cache(args))
+        plan = engine.compile()
         info = plan.info
         print(f"compiled plan: {info.steps} steps "
               f"({info.folded_batchnorms} batchnorms folded, "
               f"{info.fused_activations} activations fused, "
               f"{info.bound_executors} bound GEMM executors)")
-        if args.tuned:
-            print(f"autotuned blocking: {len(info.tuned_layers)} layers "
-                  f"at non-default blocking")
     elif args.compiled:
         print("compiled plan: disabled (guards force the per-call path)")
     result = engine.run(x)
@@ -171,10 +149,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         print("--processes requires compiled plans (drop --uncompiled)",
               file=sys.stderr)
         return 2
-    if args.tuned and args.uncompiled:
-        print("--tuned requires compiled plans (drop --uncompiled)",
-              file=sys.stderr)
-        return 2
     if args.model:
         graph = GraphModel.load(args.model)
     else:
@@ -197,9 +171,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                    admission_timeout_ms=args.admission_timeout_ms,
                    compiled=not args.uncompiled,
                    backend="mixgemm",
-                   gemm_backend=args.backend,
-                   tuned=args.tuned,
-                   tune_cache=_tune_cache(args)) as server:
+                   gemm_backend=args.backend) as server:
             deadline = args.deadline_ms if args.deadline_ms > 0 else None
             report = server.run_requests(inputs, deadline_ms=deadline,
                                          tolerate_overload=True)
@@ -255,82 +227,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         print(check.render())
         if not check.ok:
             return 1
-    return 0
-
-
-def _tune_input(graph, args: argparse.Namespace):
-    """A deterministic input batch shaped for ``graph``'s first layer.
-
-    Conv-fronted graphs (the demo and resnet cases) take the usual
-    image batch; a graph that opens with a linear layer takes a flat
-    ``(batch, K)`` batch instead, so ``--model`` works for GEMM-only
-    deployments too.
-    """
-    import numpy as np
-
-    first = graph.nodes[0]
-    if first.op in ("quant_linear", "linear"):
-        k = first.tensors["weight"].shape[1]
-        rng = np.random.default_rng(args.seed)
-        return rng.normal(size=(args.batch, k))
-    from repro.robustness.faults import demo_input
-
-    return demo_input(batch=args.batch, size=args.size, seed=args.seed)
-
-
-def _cmd_tune(args: argparse.Namespace) -> int:
-    from repro.tuning import TuneCache
-
-    cache = TuneCache(args.cache) if args.cache else TuneCache()
-    if args.clear:
-        removed = cache.clear()
-        print(f"cleared {removed} cached entries from {cache.path}")
-        return 0
-    if args.list:
-        entries = cache.entries()
-        if not entries:
-            print(f"no cached entries in {cache.path}")
-            return 0
-        print(f"{len(entries)} cached entries in {cache.path}:")
-        for e in entries:
-            k = e.key
-            blocking = " ".join(str(v) for v in e.blocking)
-            cores = f" cores={e.cores}" if e.cores > 1 else ""
-            print(f"  {k.digest()}  a{k.bw_a}-w{k.bw_w} "
-                  f"{k.m}x{k.k}x{k.n} accmem={k.accmem_bits} -> "
-                  f"{e.backend} [{blocking}]{cores} "
-                  f"speedup {e.speedup:.2f} "
-                  f"({e.candidates} candidates)")
-        return 0
-
-    from repro.robustness.faults import demo_graph
-    from repro.runtime.graph import GraphModel
-    from repro.tuning import TuningError, tune_graph
-
-    if args.repeats < 1:
-        print("--repeats must be at least 1", file=sys.stderr)
-        return 2
-    if args.model:
-        graph = GraphModel.load(args.model)
-    else:
-        graph = demo_graph()
-    x = _tune_input(graph, args)
-    try:
-        report = tune_graph(
-            graph, x, cache=cache, gemm_backend=args.backend,
-            event_mac_limit=args.event_mac_limit,
-            repeats=args.repeats, warmup=args.warmup,
-            processes=args.processes,
-            analytic_prefilter=args.analytic_prefilter)
-    except TuningError as exc:
-        print(f"tuning failed: {exc}", file=sys.stderr)
-        return 1
-    print(report.render())
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            json.dump(report.as_dict(), fh, indent=2)
-            fh.write("\n")
-        print(f"campaign report -> {args.output}")
     return 0
 
 
@@ -601,14 +497,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="run from an ahead-of-time compiled plan "
                         "(falls back to the per-call path under guards "
                         "or fault injection)")
-    p.add_argument("--tuned", action="store_true",
-                   help="with --compiled: run each layer at its "
-                        "autotuned blocking from the tune cache "
-                        "(see 'repro tune')")
-    p.add_argument("--tune-cache", default="", dest="tune_cache",
-                   metavar="PATH",
-                   help="tune-cache directory (default: "
-                        "$REPRO_TUNE_CACHE or ~/.cache/repro/tune)")
     p.set_defaults(func=_cmd_run)
 
     p = sub.add_parser(
@@ -651,59 +539,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sanitize", action="store_true",
                    help="run under the lock sanitizer and cross-check "
                         "the trace against the static lockset verdicts")
-    p.add_argument("--tuned", action="store_true",
-                   help="serve compiled plans at autotuned per-layer "
-                        "blocking from the tune cache (see 'repro tune')")
-    p.add_argument("--tune-cache", default="", dest="tune_cache",
-                   metavar="PATH",
-                   help="tune-cache directory (default: "
-                        "$REPRO_TUNE_CACHE or ~/.cache/repro/tune)")
     p.set_defaults(func=_cmd_serve)
-
-    p = sub.add_parser(
-        "tune", help="per-layer autotuning campaign; winners persist "
-                     "in an on-disk cache consulted by --tuned")
-    p.add_argument("--model", default="",
-                   help="serialized GraphModel (default: the shipped "
-                        "demo CNN)")
-    p.add_argument("--batch", type=int, default=2)
-    p.add_argument("--size", type=int, default=6,
-                   help="input spatial size (input is batch x 1 x "
-                        "size x size)")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--backend", default="auto",
-                   choices=("event", "fast", "auto"),
-                   help="GEMM execution backend preference the tuned "
-                        "plan will be compiled with")
-    p.add_argument("--cache", default="", metavar="PATH",
-                   help="tune-cache directory (default: "
-                        "$REPRO_TUNE_CACHE or ~/.cache/repro/tune)")
-    p.add_argument("--repeats", type=int, default=3,
-                   help="timed repetitions per candidate (median wins)")
-    p.add_argument("--warmup", type=int, default=1,
-                   help="discarded warmup runs per candidate")
-    p.add_argument("--processes", type=int, default=0,
-                   help="fan candidate measurement across N worker "
-                        "processes on shared-memory operands (0 = "
-                        "in-process)")
-    p.add_argument("--event-mac-limit", type=int,
-                   dest="event_mac_limit", default=1 << 16,
-                   help="largest m*n*k measured on the cycle-faithful "
-                        "event backend (it is a simulator; big layers "
-                        "would dominate the campaign)")
-    p.add_argument("--analytic-prefilter", action="store_true",
-                   dest="analytic_prefilter",
-                   help="score the full candidate grid with the "
-                        "closed-form cost model and wall-clock-time "
-                        "only the analytically promising half (the "
-                        "bit-exactness gate is unchanged)")
-    p.add_argument("--output", default="", metavar="PATH",
-                   help="also write the campaign report as JSON")
-    p.add_argument("--list", action="store_true",
-                   help="list cached winners instead of tuning")
-    p.add_argument("--clear", action="store_true",
-                   help="delete every cached winner instead of tuning")
-    p.set_defaults(func=_cmd_tune)
 
     sub.add_parser("figure6", help="square-GEMM speed-up grid"
                    ).set_defaults(func=_cmd_figure6)

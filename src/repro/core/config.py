@@ -207,9 +207,10 @@ def blocking_problems(mc: int, nc: int, kc: int, mr: int,
     """Why ``BlockingParams(mc, nc, kc, mr, nr)`` would refuse to build.
 
     The same constraints :meth:`BlockingParams.__post_init__` raises on,
-    exposed as data so a candidate-space generator (the autotuner in
-    :mod:`repro.tuning`) can filter and *report* invalid points instead
-    of driving the search by exception handling.  Empty list = buildable.
+    exposed as data so a candidate-space generator (the
+    COST-BLOCKING-INEFFICIENT check in :mod:`repro.analysis.cost`) can
+    filter and *report* invalid points instead of driving the search by
+    exception handling.  Empty list = buildable.
     """
     problems: list[str] = []
     for name, value in (("mc", mc), ("nc", nc), ("kc", kc),
@@ -226,24 +227,24 @@ def blocking_problems(mc: int, nc: int, kc: int, mr: int,
     return problems
 
 
-#: Default per-axis grids the autotuner searches.  ``mc``/``nc``/``kc``
-#: span the paper's Table-I point (256) down to the simulator default
-#: (16/16/64); ``mr``/``nr`` stay at the RF-imposed 4x4 register tile
+#: Default per-axis blocking grids the cost checker scores.
+#: ``mc``/``nc``/``kc`` span the paper's Table-I point (256) down to the
+#: simulator default (16/16/64); ``mr``/``nr`` stay at the RF-imposed 4x4 register tile
 #: (Section III-C: a 32-register RF caps the u-panel at 4x4).
-TUNE_MC_VALUES = (16, 64, 256)
-TUNE_NC_VALUES = (16, 64, 256)
-TUNE_KC_VALUES = (16, 64, 256, 1024)
-TUNE_MR_VALUES = (4,)
-TUNE_NR_VALUES = (4,)
+BLOCKING_MC_VALUES = (16, 64, 256)
+BLOCKING_NC_VALUES = (16, 64, 256)
+BLOCKING_KC_VALUES = (16, 64, 256, 1024)
+BLOCKING_MR_VALUES = (4,)
+BLOCKING_NR_VALUES = (4,)
 
 
 def blocking_candidates(
     *,
-    mc_values: tuple[int, ...] = TUNE_MC_VALUES,
-    nc_values: tuple[int, ...] = TUNE_NC_VALUES,
-    kc_values: tuple[int, ...] = TUNE_KC_VALUES,
-    mr_values: tuple[int, ...] = TUNE_MR_VALUES,
-    nr_values: tuple[int, ...] = TUNE_NR_VALUES,
+    mc_values: tuple[int, ...] = BLOCKING_MC_VALUES,
+    nc_values: tuple[int, ...] = BLOCKING_NC_VALUES,
+    kc_values: tuple[int, ...] = BLOCKING_KC_VALUES,
+    mr_values: tuple[int, ...] = BLOCKING_MR_VALUES,
+    nr_values: tuple[int, ...] = BLOCKING_NR_VALUES,
 ) -> list[BlockingParams]:
     """Every buildable :class:`BlockingParams` on the given grids.
 

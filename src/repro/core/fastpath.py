@@ -306,27 +306,15 @@ def fastpath_timing(config: MixGemmConfig, costs: "KernelCosts", m: int,
 
 def run_fastpath(config: MixGemmConfig, costs: "KernelCosts", a: np.ndarray,
                  b: np.ndarray,
-                 c: np.ndarray | None = None, *,
-                 blocking=None) -> "GemmResult":
+                 c: np.ndarray | None = None) -> "GemmResult":
     """Compute one GEMM on the fast path; returns a ``GemmResult``.
 
     Validation mirrors ``MixGemm.gemm`` + the packers step for step so
     both backends raise the same :class:`BinSegError` in the same order
     on malformed inputs.  Raises :class:`FastPathFallback` when only the
     event backend can reproduce the run.
-
-    ``blocking`` overrides ``config.blocking`` for this call only --
-    the per-candidate knob the autotuner (:mod:`repro.tuning`) turns
-    without materializing a fresh config per measurement.  Semantics
-    are identical to running with ``replace(config, blocking=...)``:
-    with a sub-container AccMem the kc-block boundaries move the wrap
-    points, so the result can legitimately differ between blockings
-    (exactly what the tuner's bit-exactness gate screens for).
     """
     from .gemm import GemmResult
-
-    if blocking is not None and blocking != config.blocking:
-        config = replace(config, blocking=blocking)
 
     a_arr = np.asarray(a)
     b_arr = np.asarray(b)

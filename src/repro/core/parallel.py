@@ -144,10 +144,8 @@ class ParallelMixGemm:
         submission order, independent of thread scheduling.
 
         ``cores`` restricts this call to the first ``cores`` executors
-        of the bank (``1 <= cores <= self.cores``) -- the per-call
-        worker-count knob the autotuner turns while reusing one
-        executor bank (and its shared packing cache) across the whole
-        candidate sweep.
+        of the bank (``1 <= cores <= self.cores``), reusing one executor
+        bank (and its shared packing cache) across worker counts.
         """
         if cores is None:
             cores = self.cores

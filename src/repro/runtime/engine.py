@@ -218,17 +218,14 @@ class InferenceEngine:
 
     # -- public API ------------------------------------------------------------
 
-    def compile(self, *, fuse: bool = True, tuned: bool = False,
-                tune_cache=None):
+    def compile(self, *, fuse: bool = True):
         """Compile the graph into a reusable plan and adopt it for runs.
 
         Returns the :class:`~repro.runtime.plan.GraphPlan`; subsequent
         :meth:`run` calls are served from it whenever the robustness
         machinery is disarmed (``guard_level="off"``, no fault plan).
         The plan shares this engine's packing cache, so ``pack_stats``
-        keeps accounting for both paths.  ``tuned=True`` consults the
-        autotuner result cache for per-layer blocking (``tune_cache``
-        overrides the default on-disk location).
+        keeps accounting for both paths.
         """
         from .plan import compile_graph
 
@@ -236,7 +233,6 @@ class InferenceEngine:
             self.graph, backend=self.backend,
             gemm_backend=self.gemm_backend, accmem_bits=self.accmem_bits,
             pack_cache=self._pack_cache, fuse=fuse,
-            tuned=tuned, tune_cache=tune_cache,
         )
         return self._plan
 

@@ -77,7 +77,6 @@ from repro.core.backend import resolve_backend
 from repro.core.binseg import value_range
 from repro.core.config import (
     ACCMEM_CONTAINER_BITS,
-    BlockingParams,
     DEFAULT_ACCMEM_BITS,
     EXECUTION_BACKENDS,
     MixGemmConfig,
@@ -225,63 +224,6 @@ class _BoundGemm:
                 partial = wrap_signed_array(partial, self.accmem_bits)
             c += partial
         return c, cycles
-
-
-# -- per-layer blocking resolution --------------------------------------------
-
-
-class _BlockingResolver:
-    """Chooses each quantized layer's blocking at compile time.
-
-    Resolution order: an explicit per-layer override (the path a
-    :class:`SharedPlanHandle` re-applies on attach, keyed by the step's
-    stable pre-fusion label), then a tuned-cache lookup by the layer's
-    M-free shape digest (see :mod:`repro.tuning.cache`), then the
-    simulator default.  Every non-default choice is recorded in
-    ``applied`` so :class:`PlanInfo` and the share manifest can carry
-    it -- a tuned plan's kc-block layout must reproduce exactly in an
-    attaching worker or the fingerprint verification would refuse it.
-    """
-
-    def __init__(self, overrides: Optional[dict], tune_cache, *,
-                 fuse: bool, gemm_backend: str) -> None:
-        self.overrides = dict(overrides or {})
-        self.tune_cache = tune_cache
-        self.fuse = fuse
-        self.gemm_backend = gemm_backend
-        self.applied: dict[str, tuple[int, int, int, int, int]] = {}
-
-    def __call__(self, label: str, *, bw_a: int, bw_b: int,
-                 signed_a: bool, accmem_bits: int, k: int,
-                 n: int) -> BlockingParams:
-        blocking = self.overrides.get(label)
-        if blocking is None and self.tune_cache is not None:
-            # Imported lazily: repro.tuning imports this module.
-            from repro.tuning.cache import (
-                backend_capability,
-                shape_digest,
-            )
-            probe = MixGemmConfig(
-                bw_a=bw_a, bw_b=bw_b, signed_a=signed_a, signed_b=True,
-                blocking=SIM_BLOCKING, accmem_bits=accmem_bits)
-            digest = shape_digest(
-                n=n, k=k, bw_a=bw_a, bw_w=bw_b, signed_a=signed_a,
-                accmem_bits=accmem_bits, fuse=self.fuse,
-                gemm_backend=self.gemm_backend,
-                fast_ok=backend_capability(probe, k, self.gemm_backend))
-            entry = self.tune_cache.lookup_shape(digest)
-            if entry is not None:
-                blocking = entry.blocking_params()
-        if blocking is None or blocking == SIM_BLOCKING:
-            return SIM_BLOCKING
-        self.applied[label] = (blocking.mc, blocking.nc, blocking.kc,
-                               blocking.mr, blocking.nr)
-        return blocking
-
-
-def _default_resolver() -> _BlockingResolver:
-    """A resolver with no overrides and no cache: always SIM_BLOCKING."""
-    return _BlockingResolver(None, None, fuse=True, gemm_backend="auto")
 
 
 # -- compiled steps -----------------------------------------------------------
@@ -462,12 +404,8 @@ class _ConvStep(_Step):
 
     def __init__(self, node: NodeSpec, label: str, input_ids: list[str], *,
                  backend: str, gemm_backend: str, accmem_bits: int,
-                 pack_cache: PackingCache,
-                 resolve_blocking: Optional[_BlockingResolver] = None,
-                 ) -> None:
+                 pack_cache: PackingCache) -> None:
         super().__init__(label, input_ids)
-        if resolve_blocking is None:
-            resolve_blocking = _default_resolver()
         self.op = node.op
         self.stats_label = label
         self.quant = node.op == "quant_conv2d"
@@ -505,16 +443,10 @@ class _ConvStep(_Step):
                 for g in range(self.groups)
             ]
             if backend == "mixgemm":
-                blocking = resolve_blocking(
-                    label, bw_a=attrs["act_bits"],
-                    bw_b=attrs["weight_bits"],
-                    signed_a=attrs["act_signed"],
-                    accmem_bits=accmem_bits,
-                    k=self.cpg * self.kh * self.kw, n=self.fpg)
                 config = MixGemmConfig(
                     bw_a=attrs["act_bits"], bw_b=attrs["weight_bits"],
                     signed_a=attrs["act_signed"], signed_b=True,
-                    blocking=blocking, accmem_bits=accmem_bits,
+                    blocking=SIM_BLOCKING, accmem_bits=accmem_bits,
                 )
                 self.gemms = [_BoundGemm(p, config, gemm_backend,
                                          pack_cache) for p in panels]
@@ -580,12 +512,8 @@ class _QuantLinearStep(_Step):
 
     def __init__(self, node: NodeSpec, label: str, input_ids: list[str], *,
                  backend: str, gemm_backend: str, accmem_bits: int,
-                 pack_cache: PackingCache,
-                 resolve_blocking: Optional[_BlockingResolver] = None,
-                 ) -> None:
+                 pack_cache: PackingCache) -> None:
         super().__init__(label, input_ids)
-        if resolve_blocking is None:
-            resolve_blocking = _default_resolver()
         self.op = node.op
         self.stats_label = label
         self.backend = backend
@@ -604,14 +532,10 @@ class _QuantLinearStep(_Step):
         self._out_scale = float(self.act_qp.scale) * wgt_qp.scale
         self._bias = node.tensors.get("bias")
         if backend == "mixgemm":
-            blocking = resolve_blocking(
-                label, bw_a=attrs["act_bits"], bw_b=attrs["weight_bits"],
-                signed_a=attrs["act_signed"], accmem_bits=accmem_bits,
-                k=w_q_t.shape[0], n=w_q_t.shape[1])
             config = MixGemmConfig(
                 bw_a=attrs["act_bits"], bw_b=attrs["weight_bits"],
                 signed_a=attrs["act_signed"], signed_b=True,
-                blocking=blocking, accmem_bits=accmem_bits,
+                blocking=SIM_BLOCKING, accmem_bits=accmem_bits,
             )
             self.gemm = _BoundGemm(w_q_t, config, gemm_backend, pack_cache)
         else:
@@ -657,13 +581,6 @@ class PlanInfo:
     #: Whether the fusion pass ran; recorded so a shared-plan attach
     #: can recompile with the exact same structure.
     fuse: bool = True
-    #: Whether the compile consulted the autotuner result cache.
-    tuned: bool = False
-    #: Layers running at a non-default blocking, label ->
-    #: (mc, nc, kc, mr, nr); recorded so shared-plan attaches recompile
-    #: with the exact same per-layer blocking.
-    tuned_layers: dict[str, tuple[int, int, int, int, int]] = field(
-        default_factory=dict)
 
     def as_dict(self) -> dict:
         return {
@@ -676,9 +593,6 @@ class PlanInfo:
             "accmem_bits": self.accmem_bits,
             "fusions": list(self.fusions),
             "fuse": self.fuse,
-            "tuned": self.tuned,
-            "tuned_layers": {label: list(blk) for label, blk
-                             in sorted(self.tuned_layers.items())},
         }
 
 
@@ -771,11 +685,7 @@ def compile_graph(graph: GraphModel, *, backend: str = "numpy",
                   gemm_backend: str = "auto",
                   accmem_bits: int = DEFAULT_ACCMEM_BITS,
                   pack_cache: Optional[PackingCache] = None,
-                  fuse: bool = True,
-                  tuned: bool = False,
-                  tune_cache=None,
-                  blocking_overrides: Optional[
-                      dict[str, BlockingParams]] = None) -> GraphPlan:
+                  fuse: bool = True) -> GraphPlan:
     """Compile ``graph`` into a :class:`GraphPlan` for ``backend``.
 
     Fusion is conservative and therefore exact: a follower is absorbed
@@ -785,16 +695,8 @@ def compile_graph(graph: GraphModel, *, backend: str = "numpy",
     yet (BN after a non-linearity is not a conv epilogue).  Everything
     else becomes its own step running the shared :mod:`~repro.runtime.ops`
     kernels, so an unfusable graph still compiles -- it just keeps more
-    steps.
-
-    ``tuned=True`` consults the autotuner result cache
-    (:class:`~repro.tuning.cache.TuneCache`; ``tune_cache`` overrides
-    the default on-disk location) and compiles each quantized GEMM layer
-    at its tuned blocking -- layers without a cached winner keep the
-    default.  ``blocking_overrides`` pins specific layers (label ->
-    :class:`~repro.core.config.BlockingParams`) and wins over the cache;
-    it is how a shared-plan attach reproduces the exporter's blocking
-    without consulting any cache.
+    steps.  Every quantized GEMM layer compiles at the Table-I
+    ``SIM_BLOCKING``.
     """
     if backend not in ("numpy", "mixgemm"):
         raise GraphError(f"unknown backend: {backend}")
@@ -802,18 +704,11 @@ def compile_graph(graph: GraphModel, *, backend: str = "numpy",
         raise GraphError(f"unknown gemm backend: {gemm_backend}")
     if pack_cache is None:
         pack_cache = PackingCache()
-    if tuned and tune_cache is None:
-        from repro.tuning.cache import TuneCache  # lazy: import cycle
-        tune_cache = TuneCache()
-    resolver = _BlockingResolver(
-        blocking_overrides, tune_cache if tuned else None,
-        fuse=fuse, gemm_backend=gemm_backend)
     labels, inputs_of = _effective_wiring(graph)
     consumers = Counter(name for eff in inputs_of for name in eff)
 
     gemm_kwargs = dict(backend=backend, gemm_backend=gemm_backend,
-                       accmem_bits=accmem_bits, pack_cache=pack_cache,
-                       resolve_blocking=resolver)
+                       accmem_bits=accmem_bits, pack_cache=pack_cache)
     steps: list[_Step] = []
     folded_bn = fused_act = 0
     fusions: list[str] = []
@@ -855,8 +750,6 @@ def compile_graph(graph: GraphModel, *, backend: str = "numpy",
         prepacked_panels=prepacked, backend=backend,
         gemm_backend=gemm_backend, accmem_bits=accmem_bits,
         fusions=fusions, fuse=fuse,
-        tuned=tuned or bool(blocking_overrides),
-        tuned_layers=dict(resolver.applied),
     )
     return GraphPlan(graph, steps, info, pack_cache)
 
@@ -906,13 +799,6 @@ class SharedPlanHandle:
     gemm_backend: str
     accmem_bits: int
     fuse: bool
-    #: Per-layer tuned blocking, (label, (mc, nc, kc, mr, nr)) sorted
-    #: by label.  Tuned blocking changes the packed kc-block layout, so
-    #: the attach-side recompile must pin the exact same blocking or
-    #: the fingerprint verification below would (rightly) refuse the
-    #: segment.  Defaults to empty for untuned plans.
-    tuned_blocking: tuple[
-        tuple[str, tuple[int, int, int, int, int]], ...] = ()
 
 
 def _array_order(arr: np.ndarray) -> str:
@@ -1126,9 +1012,7 @@ def export_plan(plan: GraphPlan) -> SharedPlan:
             backend=plan.info.backend,
             gemm_backend=plan.info.gemm_backend,
             accmem_bits=plan.info.accmem_bits,
-            fuse=plan.info.fuse,
-            tuned_blocking=tuple(
-                sorted(plan.info.tuned_layers.items())))
+            fuse=plan.info.fuse)
         ok = True
         return SharedPlan(handle, shm)
     except (OSError, ValueError) as exc:
@@ -1155,13 +1039,10 @@ def attach_plan(handle: SharedPlanHandle) -> AttachedPlan:
     rebuilt float64 graph weights.
     """
     graph = GraphModel.from_json(handle.graph_json)
-    overrides = {label: BlockingParams(*blk)
-                 for label, blk in handle.tuned_blocking} or None
     plan = compile_graph(graph, backend=handle.backend,
                          gemm_backend=handle.gemm_backend,
                          accmem_bits=handle.accmem_bits,
-                         fuse=handle.fuse,
-                         blocking_overrides=overrides)
+                         fuse=handle.fuse)
     slots = list(iter_plan_arrays(plan))
     if len(slots) != len(handle.arrays):
         raise PlanShareError(

@@ -280,8 +280,7 @@ class BatchedServer:
                  guard_level: str = "off",
                  fault_plan: Optional[FaultPlan] = None,
                  recovery: Optional[RecoveryPolicy] = None,
-                 breaker: Optional[BreakerPolicy] = None,
-                 tuned: bool = False, tune_cache=None) -> None:
+                 breaker: Optional[BreakerPolicy] = None) -> None:
         if workers < 1:
             raise ServingError(f"workers must be >= 1, got {workers}")
         if max_batch < 1:
@@ -301,11 +300,6 @@ class BatchedServer:
         self.queue_capacity = queue_capacity
         self.admission = admission
         self.compiled = compiled
-        # Autotuner consumption: compiled plans look up per-layer tuned
-        # blocking in the on-disk result cache.  Stored before
-        # _setup_runners runs because ShardedServer overrides that hook.
-        self.tuned = tuned
-        self.tune_cache = tune_cache
         self.pack_cache = PackingCache()
         guarded = guard_level != "off" or fault_plan is not None
         self._breaker = (CircuitBreaker(breaker)
@@ -364,8 +358,7 @@ class BatchedServer:
             elif self.compiled:
                 primary = compile_graph(
                     graph, backend=backend, gemm_backend=gemm_backend,
-                    accmem_bits=accmem_bits, pack_cache=self.pack_cache,
-                    tuned=self.tuned, tune_cache=self.tune_cache)
+                    accmem_bits=accmem_bits, pack_cache=self.pack_cache)
             else:
                 primary = InferenceEngine(
                     graph, backend=backend, gemm_backend=gemm_backend,

@@ -360,8 +360,7 @@ class ShardedServer(BatchedServer):
         plan = compile_graph(graph, backend=backend,
                              gemm_backend=gemm_backend,
                              accmem_bits=accmem_bits,
-                             pack_cache=self.pack_cache,
-                             tuned=self.tuned, tune_cache=self.tune_cache)
+                             pack_cache=self.pack_cache)
         try:
             self._shared = export_plan(plan)
         except PlanShareError as exc:

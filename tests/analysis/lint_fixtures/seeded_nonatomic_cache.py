@@ -1,8 +1,9 @@
 """Seeded REP012 violation: cache entry written without os.replace.
 
-The check-CLI tests copy this file to ``<tmp>/tuning/cache.py`` (the
-rule is scoped to the persistent tuning cache; everything under
-``tests/`` is exempt in place) and assert the finding renders in text,
+The check-CLI tests copy this file to
+``<tmp>/analysis/cost/calibrate.py`` (the rule is scoped to the
+persistent cost-model calibration cache; everything under ``tests/``
+is exempt in place) and assert the finding renders in text,
 JSON and SARIF.  Intentionally broken -- do not "fix" it.
 """
 

@@ -520,7 +520,7 @@ class TestRep011SharedMemoryCleanup:
         assert rules(src, path=RUNTIME_PATH) == []
 
 
-TUNE_CACHE_PATH = "src/repro/tuning/cache.py"
+COST_CACHE_PATH = "src/repro/analysis/cost/calibrate.py"
 
 
 class TestRep012AtomicWrites:
@@ -532,7 +532,7 @@ class TestRep012AtomicWrites:
             with open(path, "w") as fh:
                 json.dump(payload, fh)
         """
-        assert rules(src, path=TUNE_CACHE_PATH) == ["REP012"]
+        assert rules(src, path=COST_CACHE_PATH) == ["REP012"]
 
     def test_temp_plus_replace_passes(self):
         src = """
@@ -544,7 +544,7 @@ class TestRep012AtomicWrites:
                 json.dump(payload, fh)
             os.replace(tmp, path)
         """
-        assert rules(src, path=TUNE_CACHE_PATH) == []
+        assert rules(src, path=COST_CACHE_PATH) == []
 
     def test_read_mode_open_ignored(self):
         src = """
@@ -554,7 +554,7 @@ class TestRep012AtomicWrites:
             with open(path, encoding="utf-8") as fh:
                 return json.load(fh)
         """
-        assert rules(src, path=TUNE_CACHE_PATH) == []
+        assert rules(src, path=COST_CACHE_PATH) == []
 
     def test_append_and_exclusive_modes_flagged(self):
         src = """
@@ -564,7 +564,7 @@ class TestRep012AtomicWrites:
         def create(path):
             open(path, "x").write("y")
         """
-        assert rules(src, path=TUNE_CACHE_PATH) == [
+        assert rules(src, path=COST_CACHE_PATH) == [
             "REP012", "REP012"]
 
     def test_write_text_flagged(self):
@@ -572,7 +572,7 @@ class TestRep012AtomicWrites:
         def save(path, text):
             path.write_text(text)
         """
-        assert rules(src, path=TUNE_CACHE_PATH) == ["REP012"]
+        assert rules(src, path=COST_CACHE_PATH) == ["REP012"]
 
     def test_keyword_mode_flagged(self):
         src = """
@@ -580,7 +580,7 @@ class TestRep012AtomicWrites:
             with open(path, mode="wb") as fh:
                 fh.write(b"x")
         """
-        assert rules(src, path=TUNE_CACHE_PATH) == ["REP012"]
+        assert rules(src, path=COST_CACHE_PATH) == ["REP012"]
 
     def test_nested_writer_not_blessed_by_outer_replace(self):
         # The inner function is its own publication unit: the outer
@@ -595,9 +595,9 @@ class TestRep012AtomicWrites:
             inner(path)
             os.replace(path, path)
         """
-        assert rules(src, path=TUNE_CACHE_PATH) == ["REP012"]
+        assert rules(src, path=COST_CACHE_PATH) == ["REP012"]
 
-    def test_rule_scoped_to_tuning_cache(self):
+    def test_rule_scoped_to_cost_cache(self):
         src = """
         def save(path):
             open(path, "w").write("x")
@@ -609,14 +609,14 @@ class TestRep012AtomicWrites:
         def save(path):
             open(path, "w").write("x")
         """
-        assert rules(src, path="tests/tuning/test_cache.py") == []
+        assert rules(src, path="tests/analysis/test_cost_cache.py") == []
 
     def test_hint_mentions_torn_file(self):
         diags = lint_source(
             textwrap.dedent("""
             def save(path):
                 open(path, "w").write("x")
-            """), TUNE_CACHE_PATH)
+            """), COST_CACHE_PATH)
         assert "torn" in diags[0].hint
 
     def test_suppressed(self):
@@ -624,11 +624,11 @@ class TestRep012AtomicWrites:
         def save(path):
             open(path, "w").write("x")  # repro: noqa REP012
         """
-        assert rules(src, path=TUNE_CACHE_PATH) == []
+        assert rules(src, path=COST_CACHE_PATH) == []
 
     def test_real_cache_module_is_clean(self):
         real = (Path(__file__).resolve().parents[2]
-                / "src" / "repro" / "tuning" / "cache.py")
+                / "src" / "repro" / "analysis" / "cost" / "calibrate.py")
         assert [d.rule for d in lint_paths([str(real)])
                 .diagnostics] == []
 

@@ -237,9 +237,9 @@ class TestRep012Fixture:
     def torn_cache_file(self, tmp_path):
         fixture = (Path(__file__).parent / "lint_fixtures"
                    / "seeded_nonatomic_cache.py")
-        tuning_dir = tmp_path / "tuning"
-        tuning_dir.mkdir()
-        target = tuning_dir / "cache.py"
+        cost_dir = tmp_path / "analysis" / "cost"
+        cost_dir.mkdir(parents=True)
+        target = cost_dir / "calibrate.py"
         target.write_text(fixture.read_text())
         return str(target)
 
@@ -276,9 +276,10 @@ class TestRep012Fixture:
                    / "seeded_nonatomic_cache.py")
         assert main(["check", "--lint", str(fixture)]) == 0
 
-    def test_shipped_tuning_cache_is_clean(self):
+    def test_shipped_cost_cache_is_clean(self):
         cache_mod = (Path(__file__).resolve().parents[2]
-                     / "src" / "repro" / "tuning" / "cache.py")
+                     / "src" / "repro" / "analysis" / "cost"
+                     / "calibrate.py")
         assert main(["check", "--lint", str(cache_mod)]) == 0
 
 

@@ -10,6 +10,7 @@ import dataclasses
 import json
 import os
 
+import numpy as np
 import pytest
 
 from repro.analysis.cost import (
@@ -147,3 +148,35 @@ class TestMemo:
         get_tile_calibration(CONFIG, cache=cache)
         assert cache.hits >= 1
         assert cache.misses == before
+
+
+def _demo_plan_run():
+    """Compile and run the demo graph from cold calibration state."""
+    from repro.core import fastpath
+    from repro.robustness.faults import demo_graph, demo_input
+    from repro.runtime.plan import compile_graph
+
+    clear_calibration_memo()
+    for fn in (fastpath._tile_timing, fastpath._tile_timing_engine,
+               fastpath.fastpath_timing):
+        fn.cache_clear()
+    return compile_graph(demo_graph(), backend="mixgemm").run(
+        demo_input(batch=2))
+
+
+class TestUnwritableCache:
+    def test_inference_survives_unwritable_cache(self, tmp_path,
+                                                 monkeypatch):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("a regular file, not a directory\n")
+        monkeypatch.setenv(COST_CACHE_ENV, str(blocker / "cost"))
+        with pytest.warns(ReliabilityWarning) as record:
+            broken = _demo_plan_run()
+        unwritable = [w for w in record if "not writable" in str(w.message)]
+        assert len(unwritable) == 1
+
+        monkeypatch.setenv(COST_CACHE_ENV, str(tmp_path / "cost"))
+        good = _demo_plan_run()
+        assert list((tmp_path / "cost").glob("*.json"))
+        np.testing.assert_array_equal(broken.output, good.output)
+        assert broken.total_cycles == good.total_cycles

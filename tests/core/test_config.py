@@ -9,6 +9,8 @@ from repro.core.config import (
     MixGemmConfig,
     UVectorLayout,
     all_size_combinations,
+    blocking_candidates,
+    blocking_problems,
     elements_per_uvector,
     select_ku,
 )
@@ -108,6 +110,35 @@ class TestBlockingParams:
             BlockingParams(mr=8, mc=4)
         with pytest.raises(ValueError):
             BlockingParams(nr=8, nc=4)
+
+
+class TestGridValidity:
+    def test_mr_exceeding_mc_rejected(self):
+        problems = blocking_problems(4, 16, 64, 16, 4)
+        assert any("mr=16 exceeds mc=4" in p for p in problems)
+        with pytest.raises(ValueError, match="mr cannot exceed mc"):
+            BlockingParams(mc=4, nc=16, kc=64, mr=16, nr=4)
+
+    def test_nr_exceeding_nc_rejected(self):
+        problems = blocking_problems(16, 4, 64, 4, 16)
+        assert any("nr=16 exceeds nc=4" in p for p in problems)
+        with pytest.raises(ValueError, match="nr cannot exceed nc"):
+            BlockingParams(mc=16, nc=4, kc=64, mr=4, nr=16)
+
+    def test_nonpositive_axes_rejected(self):
+        assert blocking_problems(0, 16, 64, 4, 4)
+        assert blocking_problems(16, 16, -1, 4, 4)
+
+    def test_default_grid_all_buildable(self):
+        grid = blocking_candidates()
+        assert grid
+        for b in grid:
+            assert blocking_problems(b.mc, b.nc, b.kc, b.mr, b.nr) == []
+
+    def test_invalid_grid_points_filtered_not_raised(self):
+        grid = blocking_candidates(mc_values=(2, 16), mr_values=(4,))
+        assert all(b.mr <= b.mc for b in grid)
+        assert {b.mc for b in grid} == {16}
 
 
 class TestMixGemmConfig:

@@ -262,9 +262,8 @@ class TestFullDifferentialSweep:
 
 
 class TestBlockingOverrideEquivalence:
-    """The tuner swaps ``config.blocking`` per candidate; with the full
-    64-bit container the kc split is a pure schedule choice -- every
-    valid blocking produces the identical matrix."""
+    """With the full 64-bit container the kc split is a pure schedule
+    choice -- every valid blocking produces the identical matrix."""
 
     @pytest.mark.parametrize("kc", [2, 16, 64, 1024])
     def test_full_container_values_invariant_under_kc(self, kc):
@@ -281,8 +280,7 @@ class TestBlockingOverrideEquivalence:
 
     def test_sub_container_wrap_points_move_with_kc(self):
         """The converse: with a narrow AccMem the split boundaries are
-        semantic, which is exactly why the tuner's exactness gate
-        exists (see repro.tuning.measure)."""
+        semantic, so a different blocking can change the result."""
         from dataclasses import replace
 
         base = make_config(accmem_bits=20, blocking=BlockingParams(

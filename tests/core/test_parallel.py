@@ -159,7 +159,7 @@ class TestMisalignedN:
 
 
 class TestPerCallCores:
-    """The tuner reuses one bank across candidates via gemm(cores=...)."""
+    """One bank serves several worker counts via gemm(cores=...)."""
 
     def test_subset_matches_full_bank(self):
         a, b = _operands(n=32)
