@@ -12,9 +12,9 @@ diagnostics on any divergence.
 Per step it checks:
 
 * **baked integer panels** -- exact (``==``) equality between every
-  bound GEMM's weight operand (reassembled from the fast path's
-  kc-blocks, or the event executor's B matrix) and the analyzer's
-  independently quantized panel;
+  bound GEMM's weight operand (reassembled, uncast, from the fast
+  kernel's kc-blocks, or the event executor's B matrix) and the
+  analyzer's independently quantized panel;
 * **wrap behavior** -- the bound GEMM's ``accmem_bits`` and kc-block
   split boundaries match the analysis (same wrap granularity implies
   the same two's-complement semantics);
@@ -54,11 +54,16 @@ def _diag(step_label: str, path: str, message: str,
 
 
 def _bound_gemm_panel(gemm) -> np.ndarray:
-    """The (K, N) int64 weight operand a bound GEMM will actually use."""
+    """The (K, N) weight operand a bound GEMM will actually use.
+
+    Kept in its baked dtype, never cast to int64: a truncating cast
+    would hide a fractional tamper of a float panel (75.5 -> 75), so
+    the comparison against the integer source quantization stays exact.
+    """
     if gemm.mode == "fast":
-        parts = [blk.astype(np.int64) for _, blk, _ in gemm._blocks]
-        return np.concatenate(parts, axis=0)
-    return np.asarray(gemm._b, dtype=np.int64)
+        return np.concatenate([blk for _, blk, _ in gemm.kernel.blocks],
+                              axis=0)
+    return np.asarray(gemm._b)
 
 
 def _check_bound_gemm(gemm, panel_ref: np.ndarray, rec, step_label: str,
@@ -90,14 +95,15 @@ def _check_bound_gemm(gemm, panel_ref: np.ndarray, rec, step_label: str,
             hint="the plan is serving different integers than the "
                  "engine would quantize"))
     if gemm.mode == "fast":
-        if gemm.kc_eff != rec.kc_logical:
+        kernel = gemm.kernel
+        if kernel.kc_eff != rec.kc_logical:
             diags.append(_diag(
                 step_label, path,
-                f"{where}: fast-path kc split {gemm.kc_eff} differs "
+                f"{where}: fast-path kc split {kernel.kc_eff} differs "
                 f"from the analyzed wrap granularity "
                 f"{rec.kc_logical}; wrap points would move"))
         else:
-            starts = [sl.start for sl, _, _ in gemm._blocks]
+            starts = [sl.start for sl, _, _ in kernel.blocks]
             ref = [b.k_start for b in rec.blocks[group]]
             if starts != ref:
                 diags.append(_diag(

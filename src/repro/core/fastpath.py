@@ -15,8 +15,16 @@ accmem_bits)`` -- one wrap of the exact block inner product.  numpy's
 int64 matmul reduces mod ``2**64``, and mod ``2**bits`` factors through
 mod ``2**64`` for ``bits <= 64``, so a blocked int64 matmul plus one
 vectorized wrap per kc-block reproduces the event backend bit for bit.
-When ``kc * max|A| * max|B| < 2**53`` every partial sum fits a float64
-mantissa exactly and the block can ride the BLAS dgemm instead.
+A float matmul is just as exact whenever every partial sum is an
+integer the float type holds: each partial sum of a block is a sum of a
+subset of its products, so its magnitude is at most the Eq. 5 block
+bound ``kc * max|A| * max|B|`` in *any* summation order.
+:class:`FastGemmKernel` therefore multiplies each block in the narrowest
+exact type -- float32 below ``2**24`` (the BLAS sgemm), float64 below
+``2**53`` (dgemm), int64 otherwise -- and keeps integer operands narrow
+from end to end.  Under the Table-I blocking the tightest 2-8-bit block
+(unsigned a8w8, ``kc = 512``) bounds at 16,711,680 = 0.996 * 2**24, so
+every such layer rides sgemm in a single pass.
 
 **Timing.**  The micro-kernel's cycle count is data independent (stall
 logic only looks at counts and arrival times, never word values) and
@@ -67,7 +75,8 @@ from .packing import (
 if TYPE_CHECKING:  # imported lazily at runtime to keep gemm -> fastpath
     from .gemm import GemmResult, KernelCosts  # one-directional at load
 
-#: Largest magnitude whose integer arithmetic is exact in a float64.
+#: Magnitudes below these are integers float32 / float64 hold exactly.
+_FLOAT32_EXACT = 1 << 24
 _FLOAT64_EXACT = 1 << 53
 
 #: First magnitude an int64 accumulator cannot represent.
@@ -232,6 +241,24 @@ def _tile_timing_engine(config: MixGemmConfig, costs: "KernelCosts",
     )
 
 
+def _kc_and_product_bound(config: MixGemmConfig) -> tuple[int, int]:
+    """``(kc_eff, max|a*b|)``: the kc-block length and Eq. 5 product bound."""
+    lay = config.layout
+    kc_eff = aligned_kc(config.blocking.kc * lay.elems_a, lay.group_elements)
+    lo_a, hi_a = value_range(config.bw_a, config.signed_a)
+    lo_b, hi_b = value_range(config.bw_b, config.signed_b)
+    return kc_eff, max(-lo_a, hi_a) * max(-lo_b, hi_b)
+
+
+def exact_dtype(bound: int) -> type:
+    """Narrowest type whose arithmetic is exact on sums bounded by ``bound``."""
+    if bound < _FLOAT32_EXACT:
+        return np.float32
+    if bound < _FLOAT64_EXACT:
+        return np.float64
+    return np.int64
+
+
 def fastpath_applicable(config: MixGemmConfig, k: int) -> str | None:
     """Why the fast path must refuse this run, or ``None`` if it can go.
 
@@ -240,16 +267,11 @@ def fastpath_applicable(config: MixGemmConfig, k: int) -> str | None:
     path without paying an exception on every call.
     """
     blk = config.blocking
-    lay = config.layout
     if blk.mc % blk.mr or blk.nc % blk.nr:
         return "edge tiles overlap cache blocks; event backend required"
-    kc_eff = aligned_kc(blk.kc * lay.elems_a, lay.group_elements)
-    lo_a, hi_a = value_range(config.bw_a, config.signed_a)
-    lo_b, hi_b = value_range(config.bw_b, config.signed_b)
-    amax = max(abs(lo_a), abs(hi_a))
-    bmax = max(abs(lo_b), abs(hi_b))
+    kc_eff, prod_max = _kc_and_product_bound(config)
     bits = config.accmem_bits
-    block_bound = min(kc_eff, max(k, 1)) * amax * bmax
+    block_bound = min(kc_eff, max(k, 1)) * prod_max
     if bits > ACCMEM_CONTAINER_BITS and block_bound >= _INT64_HALF:
         return (f"accmem_bits={bits} with block bound {block_bound} "
                 f">= 2**63 exceeds int64 accumulation")
@@ -304,6 +326,62 @@ def fastpath_timing(config: MixGemmConfig, costs: "KernelCosts", m: int,
     )
 
 
+class FastGemmKernel:
+    """The fast path's exact blocked GEMM with the B operand baked in.
+
+    Built once from ``(config, validated int64 B)``; owns the kc-block
+    split, each block's operand type (:func:`exact_dtype` of its Eq. 5
+    bound) and the per-block AccMem wrap.  ``blocks`` holds
+    ``(k-slice, B panel, dtype)`` triples and is the only place the
+    panels live, so a plan exporter can rebind them and the
+    plan-equivalence verifier can read them.
+
+    ``input_dtype`` is the type A may arrive in without ever being
+    widened: float32 when every block multiplies in float32 and nothing
+    wraps, int64 otherwise.  Calls return the exact product in
+    ``acc_dtype`` -- int64 when the AccMem wraps (the wrap needs
+    integers), else the narrowest type exact on the whole-K bound, so a
+    single float32 block comes back as float32 with no cast at all.
+    """
+
+    def __init__(self, config: MixGemmConfig, b: np.ndarray) -> None:
+        k, self.n = b.shape
+        self.kc_eff, prod_max = _kc_and_product_bound(config)
+        bits = config.accmem_bits
+        self.wrap_bits = bits if bits < ACCMEM_CONTAINER_BITS else None
+        self.blocks: list[tuple[slice, np.ndarray, type]] = []
+        for pc in range(0, k, self.kc_eff):
+            kc_blk = min(self.kc_eff, k - pc)
+            dtype = exact_dtype(kc_blk * prod_max)
+            self.blocks.append((slice(pc, pc + kc_blk),
+                                b[pc:pc + kc_blk].astype(dtype), dtype))
+        if self.wrap_bits is None:
+            self.acc_dtype = exact_dtype(k * prod_max)
+            narrow = all(d is np.float32 for _, _, d in self.blocks)
+        else:
+            self.acc_dtype = np.int64
+            narrow = False
+        self.input_dtype = np.float32 if narrow else np.int64
+
+    def _block(self, a_blk: np.ndarray, b_blk: np.ndarray,
+               dtype: type) -> np.ndarray:
+        partial = a_blk.astype(dtype, copy=False) @ b_blk
+        if self.wrap_bits is not None:
+            return wrap_signed_array(partial.astype(np.int64, copy=False),
+                                     self.wrap_bits)
+        return partial.astype(self.acc_dtype, copy=False)
+
+    def __call__(self, a: np.ndarray) -> np.ndarray:
+        """Exact ``A @ B`` (per-block wrapped) for ``a`` in the A range."""
+        if len(self.blocks) == 1:
+            _, b_blk, dtype = self.blocks[0]
+            return self._block(a, b_blk, dtype)
+        c = np.zeros((a.shape[0], self.n), dtype=self.acc_dtype)
+        for sl, b_blk, dtype in self.blocks:
+            c += self._block(a[:, sl], b_blk, dtype)
+        return c
+
+
 def run_fastpath(config: MixGemmConfig, costs: "KernelCosts", a: np.ndarray,
                  b: np.ndarray,
                  c: np.ndarray | None = None) -> "GemmResult":
@@ -342,29 +420,8 @@ def run_fastpath(config: MixGemmConfig, costs: "KernelCosts", a: np.ndarray,
         # the bignum-backed event engine models that faithfully.
         raise FastPathFallback(refusal)
 
-    blk = config.blocking
-    lay = config.layout
-    kc_eff = aligned_kc(blk.kc * lay.elems_a, lay.group_elements)
-    lo_a, hi_a = value_range(config.bw_a, config.signed_a)
-    lo_b, hi_b = value_range(config.bw_b, config.signed_b)
-    amax = max(abs(lo_a), abs(hi_a))
-    bmax = max(abs(lo_b), abs(hi_b))
-    bits = config.accmem_bits
-
     timing = fastpath_timing(config, costs, m, n, k)
-    for pc in range(0, k, kc_eff):
-        kc_blk = min(kc_eff, k - pc)
-        a_blk = a64[:, pc:pc + kc_blk]
-        b_blk = b64[pc:pc + kc_blk, :]
-        if kc_blk * amax * bmax < _FLOAT64_EXACT:
-            # Every partial sum is exactly representable: take the BLAS.
-            partial = (a_blk.astype(np.float64)
-                       @ b_blk.astype(np.float64)).astype(np.int64)
-        else:
-            partial = a_blk @ b_blk
-        if bits < ACCMEM_CONTAINER_BITS:
-            partial = wrap_signed_array(partial, bits)
-        c += partial
+    c += FastGemmKernel(config, b64)(a64).astype(np.int64, copy=False)
 
     pmu = timing.to_pmu()
     return GemmResult(

@@ -24,6 +24,9 @@ import numpy as np
 #: ``hook(label, kind, values)`` -- ``kind`` is one of ``"act"``
 #: (quantized GEMM A-operand codes), ``"acc"`` (post-wrap integer
 #: accumulator output) or ``"out"`` (the node's float output tensor).
+#: ``act`` and ``acc`` values are always integers, but a compiled plan's
+#: fast path may deliver them in a float32/float64 array holding those
+#: integers exactly (see :class:`repro.core.fastpath.FastGemmKernel`).
 RangeHook = Callable[[str, str, np.ndarray], None]
 
 _hook: Optional[RangeHook] = None

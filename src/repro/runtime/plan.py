@@ -24,15 +24,22 @@ arithmetic.
 * event-backend weight panels are pre-packed into the shared
   :class:`~repro.core.packcache.PackingCache`, and one reusable
   executor is bound per (config, layer) instead of one per call;
-* fast-backend weight operands are validated, split into kc-blocks and
-  pre-cast once, with per-call cycles served by the memoized
-  :func:`~repro.core.fastpath.fastpath_timing` oracle.
+* fast-backend weight operands are validated once and baked into a
+  :class:`~repro.core.fastpath.FastGemmKernel` -- the same kernel
+  :func:`~repro.core.fastpath.run_fastpath` runs -- which splits them
+  into kc-blocks in the narrowest exact type, with per-call cycles
+  served by the memoized :func:`~repro.core.fastpath.fastpath_timing`
+  oracle.  When every block of a layer is float32 and the AccMem does
+  not wrap, the layer never widens: activation codes, the im2col
+  buffer and the GEMM result all stay float32 until the epilogue's
+  float64 dequantization.
 
 Bit-exactness is a design invariant, not an aspiration: every float
 operation the plan executes is the *same numpy expression in the same
 order* as the uncompiled engine (shared kernels live in
-:mod:`repro.runtime.ops`), the integer GEMM path reproduces
-:func:`~repro.core.fastpath.run_fastpath` block by block, and the
+:mod:`repro.runtime.ops`), the GEMM runs the very kernel
+:func:`~repro.core.fastpath.run_fastpath` runs (exact integers in a
+float32 container convert to the identical float64), and the
 BN/activation "fusion" hoists only *constant computation* -- the
 per-element float sequence is untouched.  ``tests/runtime/test_plan.py``
 asserts equality (outputs and per-layer cycles), never closeness.
@@ -74,22 +81,19 @@ import numpy as np
 from repro.core.errors import ReproError
 
 from repro.core.backend import resolve_backend
-from repro.core.binseg import value_range
 from repro.core.config import (
-    ACCMEM_CONTAINER_BITS,
     DEFAULT_ACCMEM_BITS,
     EXECUTION_BACKENDS,
     MixGemmConfig,
 )
 from repro.core.fastpath import (
-    _FLOAT64_EXACT,
+    FastGemmKernel,
     fastpath_applicable,
     fastpath_timing,
-    wrap_signed_array,
 )
 from repro.core.gemm import KernelCosts, MixGemm
 from repro.core.packcache import PackingCache
-from repro.core.packing import _check_matrix, aligned_kc
+from repro.core.packing import _check_matrix
 from repro.nn.functional_quant import weight_absmax_scale
 from repro.nn.im2col import rows_to_nchw
 from repro.quant.affine import QuantParams, quantize
@@ -110,11 +114,14 @@ class _ActQuantizer:
     :func:`repro.quant.affine.quantize` -- divide, add zero-point,
     round, clip, cast -- with the broadcasting/`value_range` bookkeeping
     hoisted to construction, so the result is bitwise identical and the
-    per-call cost is five ufuncs.
+    per-call cost is five ufuncs.  The final cast goes to the consuming
+    GEMM's ``input_dtype``: the clipped codes are small integers, so the
+    float32 cast of the fast path is exactly as lossless as int64.
     """
 
-    def __init__(self, qp: QuantParams) -> None:
+    def __init__(self, qp: QuantParams, dtype: type) -> None:
         self.qp = qp
+        self.dtype = dtype
         self._scale = qp._expand(qp.scale, 1)
         self._zp = qp._expand(qp.zero_point, 1)
         self._qmin = qp.qmin
@@ -122,7 +129,7 @@ class _ActQuantizer:
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         q = (x / self._scale + self._zp).round()
-        return q.clip(self._qmin, self._qmax).astype(np.int64)
+        return q.clip(self._qmin, self._qmax).astype(self.dtype)
 
 
 class _BoundGemm:
@@ -131,10 +138,10 @@ class _BoundGemm:
     The backend decision is taken **once** at bind time with the same
     rules the engine applies per call (guard-free compile implies no
     hooks, so :func:`~repro.core.backend.resolve_backend` sees the
-    identical inputs).  The fast mode reproduces
-    :func:`~repro.core.fastpath.run_fastpath` exactly -- same kc-block
-    splits, same float64-vs-int64 cast rule, same wrap -- with the
-    weight-side validation, casting and timing loop hoisted out of the
+    identical inputs).  The fast mode holds the
+    :class:`~repro.core.fastpath.FastGemmKernel`
+    :func:`~repro.core.fastpath.run_fastpath` would build, with the
+    weight-side validation and the timing lookup hoisted out of the
     call.  The event mode keeps one reusable
     :class:`~repro.core.gemm.MixGemm`; per-call cycles are the engine
     clock *delta*, which equals a fresh executor's count because the
@@ -154,30 +161,13 @@ class _BoundGemm:
                      else "event")
         self.prepacked = False
         if self.mode == "fast":
-            b64 = _check_matrix(b, config.bw_b, config.signed_b, "B")
-            lay = config.layout
-            kc_eff = aligned_kc(config.blocking.kc * lay.elems_a,
-                                lay.group_elements)
-            lo_a, hi_a = value_range(config.bw_a, config.signed_a)
-            lo_b, hi_b = value_range(config.bw_b, config.signed_b)
-            amax = max(abs(lo_a), abs(hi_a))
-            bmax = max(abs(lo_b), abs(hi_b))
-            self.accmem_bits = config.accmem_bits
-            self.kc_eff = kc_eff
-            self._blocks: list[tuple[slice, np.ndarray, bool]] = []
-            for pc in range(0, self.k, kc_eff):
-                kc_blk = min(kc_eff, self.k - pc)
-                blk = b64[pc:pc + kc_blk, :]
-                exact = kc_blk * amax * bmax < _FLOAT64_EXACT
-                self._blocks.append((
-                    slice(pc, pc + kc_blk),
-                    blk.astype(np.float64) if exact else blk,
-                    exact,
-                ))
-            self._single = (self._blocks[0] if len(self._blocks) == 1
-                            else None)
+            self.kernel = FastGemmKernel(
+                config, _check_matrix(b, config.bw_b, config.signed_b, "B"))
+            #: The A dtype this GEMM consumes without widening it.
+            self.input_dtype = self.kernel.input_dtype
             self._cycles_by_m: dict[int, int] = {}
         else:
+            self.input_dtype = np.int64
             self._b = b
             self._executor = MixGemm(config, emulate_datapath=False,
                                     backend="event",
@@ -185,12 +175,14 @@ class _BoundGemm:
             self.prepacked = pack_cache.prewarm("B", b, config)
 
     def __call__(self, a: np.ndarray) -> tuple[np.ndarray, int]:
-        """``(C, cycles)`` for int64 ``a`` already in the config's range.
+        """``(C, cycles)`` for ``a`` already in the config's range.
 
         The A-side ``_check_matrix`` is provably redundant here --
         ``quantize`` clipped the activations into exactly the
         ``(bw_a, signed_a)`` range this config declares -- so the fast
-        mode skips it; values and cycles are unaffected.
+        mode skips it; values and cycles are unaffected.  ``C`` holds
+        exact integers, in a float container when the kernel's
+        ``acc_dtype`` is one.
         """
         if self.mode == "event":
             engine = self._executor.engine
@@ -203,27 +195,7 @@ class _BoundGemm:
             cycles = fastpath_timing(self.config, self._costs, m, self.n,
                                      self.k).cycles
             self._cycles_by_m[m] = cycles
-        if self._single is not None:
-            _, b_blk, exact = self._single
-            if exact:
-                c = (a.astype(np.float64) @ b_blk).astype(np.int64)
-            else:
-                c = a @ b_blk
-            if self.accmem_bits < ACCMEM_CONTAINER_BITS:
-                c = wrap_signed_array(c, self.accmem_bits)
-            return c, cycles
-        c = np.zeros((m, self.n), dtype=np.int64)
-        for sl, b_blk, exact in self._blocks:
-            a_blk = a[:, sl]
-            if exact:
-                partial = (a_blk.astype(np.float64)
-                           @ b_blk).astype(np.int64)
-            else:
-                partial = a_blk @ b_blk
-            if self.accmem_bits < ACCMEM_CONTAINER_BITS:
-                partial = wrap_signed_array(partial, self.accmem_bits)
-            c += partial
-        return c, cycles
+        return self.kernel(a), cycles
 
 
 # -- compiled steps -----------------------------------------------------------
@@ -427,7 +399,6 @@ class _ConvStep(_Step):
                 scale=attrs["act_scale"], zero_point=0.0,
                 bits=attrs["act_bits"], signed=attrs["act_signed"],
             )
-            self._quant_act = _ActQuantizer(self.act_qp)
             w_scale = weight_absmax_scale(w, attrs["weight_bits"],
                                           channel_axis=0)
             wgt_qp = QuantParams(scale=w_scale, zero_point=0.0,
@@ -450,8 +421,12 @@ class _ConvStep(_Step):
                 )
                 self.gemms = [_BoundGemm(p, config, gemm_backend,
                                          pack_cache) for p in panels]
+                # Groups share config and K, hence one input dtype.
+                self._act_dtype = self.gemms[0].input_dtype
             else:
                 self.panels = panels
+                self._act_dtype = np.int64
+            self._quant_act = _ActQuantizer(self.act_qp, self._act_dtype)
         else:
             # Keep the engine's exact view (reshape + transpose of the
             # original array): float matmul results can depend on the
@@ -469,7 +444,7 @@ class _ConvStep(_Step):
                 raise ValueError(
                     f"channel mismatch: input {c}, weight {self.cpg} x "
                     f"groups {self.groups}")
-            dtype = np.int64 if self.quant else np.float64
+            dtype = self._act_dtype if self.quant else np.float64
             low = _ConvLowering((n, self.cpg, h, w), self.kh, self.kw,
                                 self.stride, self.kpad, dtype)
             self._lowerings[x_shape] = low
@@ -523,7 +498,6 @@ class _QuantLinearStep(_Step):
             scale=attrs["act_scale"], zero_point=0.0,
             bits=attrs["act_bits"], signed=attrs["act_signed"],
         )
-        self._quant_act = _ActQuantizer(self.act_qp)
         w_scale = weight_absmax_scale(w, attrs["weight_bits"],
                                       channel_axis=0)
         wgt_qp = QuantParams(scale=w_scale, zero_point=0.0,
@@ -538,8 +512,11 @@ class _QuantLinearStep(_Step):
                 blocking=SIM_BLOCKING, accmem_bits=accmem_bits,
             )
             self.gemm = _BoundGemm(w_q_t, config, gemm_backend, pack_cache)
+            act_dtype = self.gemm.input_dtype
         else:
             self.panel = w_q_t
+            act_dtype = np.int64
+        self._quant_act = _ActQuantizer(self.act_qp, act_dtype)
 
     def __call__(self, arrays: list[np.ndarray],
                  result: InferenceResult) -> np.ndarray:
@@ -818,14 +795,12 @@ def _gemm_array_slots(prefix: str, gemm: _BoundGemm) -> Iterator[
         tuple[str, np.ndarray, Callable[[np.ndarray], None]]]:
     """``(key, array, setter)`` for one bound GEMM's baked operands."""
     if gemm.mode == "fast":
-        for i in range(len(gemm._blocks)):
-            def _set_block(arr: np.ndarray, g: _BoundGemm = gemm,
-                           idx: int = i) -> None:
-                sl, _, exact = g._blocks[idx]
-                g._blocks[idx] = (sl, arr, exact)
-                g._single = (g._blocks[0] if len(g._blocks) == 1
-                             else None)
-            yield f"{prefix}.block{i}", gemm._blocks[i][1], _set_block
+        blocks = gemm.kernel.blocks
+        for i in range(len(blocks)):
+            def _set_block(arr: np.ndarray, idx: int = i) -> None:
+                sl, _, dtype = blocks[idx]
+                blocks[idx] = (sl, arr, dtype)
+            yield f"{prefix}.block{i}", blocks[i][1], _set_block
     else:
         def _set_b(arr: np.ndarray, g: _BoundGemm = gemm) -> None:
             g._b = arr

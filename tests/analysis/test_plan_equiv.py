@@ -109,13 +109,34 @@ class TestSeededBugs:
         for step in plan.steps:
             gemms = getattr(step, "gemms", None)
             if gemms and gemms[0].mode == "fast":
-                sl, blk, exact = gemms[0]._blocks[0]
+                blocks = gemms[0].kernel.blocks
+                sl, blk, dtype = blocks[0]
                 blk = blk.copy()
                 blk.flat[0] += 1  # one integer off
-                gemms[0]._blocks[0] = (sl, blk, exact)
+                blocks[0] = (sl, blk, dtype)
                 break
         else:
             pytest.skip("no fast-mode conv step")
+        diags = verify_plan(plan, analysis=resnet_analysis)
+        assert any("panel" in d.message for d in diags)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_fractional_panel_tamper_caught(self, resnet_graph,
+                                            resnet_analysis, dtype):
+        """A non-integral float panel entry (75.0 -> 75.5) changes what
+        the plan computes, so the verifier must not truncate it away."""
+        plan = compile_graph(resnet_graph, backend="mixgemm", fuse=True)
+        x = np.random.default_rng(7).standard_normal((2, 1, 12, 12))
+        clean = plan.run(x).output
+        blocks = next(step.gemms[0].kernel.blocks for step in plan.steps
+                      if getattr(step, "gemms", None)
+                      and step.gemms[0].mode == "fast")
+        sl, blk, _ = blocks[0]
+        assert blk.dtype == np.float32  # a8w8 rides the sgemm panels
+        blk = blk.astype(dtype)
+        blk.flat[0] += 0.5
+        blocks[0] = (sl, blk, dtype)
+        assert not np.array_equal(plan.run(x).output, clean)
         diags = verify_plan(plan, analysis=resnet_analysis)
         assert any("panel" in d.message for d in diags)
 

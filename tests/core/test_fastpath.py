@@ -20,12 +20,17 @@ from repro.core.backend import (
 from repro.core.binseg import BinSegError
 from repro.core.config import BlockingParams, MixGemmConfig
 from repro.core.fastpath import (
+    FastGemmKernel,
     FastPathFallback,
+    exact_dtype,
     run_fastpath,
     wrap_signed_array,
 )
-from repro.core.gemm import KernelCosts, MixGemm
+from repro.core.gemm import KernelCosts, MixGemm, reference_gemm
 from repro.core.microengine import wrap_signed
+from repro.core.packcache import PackingCache
+from repro.runtime.engine import SIM_BLOCKING
+from repro.runtime.plan import _BoundGemm
 
 # Small aligned blocking so the event oracle stays quick.
 BLK = BlockingParams(mc=8, nc=8, kc=2, mr=4, nr=4)
@@ -241,6 +246,130 @@ class TestWrapSignedArray:
         expected = [wrap_signed(int(v), 16) for v in values]
         np.testing.assert_array_equal(wrap_signed_array(values, 16),
                                       expected)
+
+
+def fast_kernel(config, b):
+    return FastGemmKernel(config, np.asarray(b, dtype=np.int64))
+
+
+def block_dtypes(kernel):
+    return [dtype for _, _, dtype in kernel.blocks]
+
+
+def extreme_operands(pattern, m, k, n):
+    """Unsigned-8-bit A against signed-8-bit B at the Eq. 5 extremes."""
+    a = np.full((m, k), 255, dtype=np.int64)
+    rows, cols = np.indices((k, n))
+    if pattern == "extreme":
+        b = np.full((k, n), -128, dtype=np.int64)
+    elif pattern == "alternating":
+        b = np.where((rows + cols) % 2 == 0, 127, -128)
+    else:  # "halves": the running sum peaks mid-block, then falls
+        b = np.where(rows < k // 2, 127, -128)
+    return a, b
+
+
+def assert_kernel_paths_exact(config, a, b):
+    """run_fastpath, a bound plan GEMM, the event backend and the integer
+    reference all agree; returns the bound GEMM for dtype assertions."""
+    want = reference_gemm(a, b)
+    event = MixGemm(config, emulate_datapath=False, backend=EVENT).gemm(a, b)
+    fast = MixGemm(config, emulate_datapath=False, backend=FAST).gemm(a, b)
+    assert_identical(event, fast)
+    bits = config.accmem_bits
+    if bits < 64:
+        k, kc = a.shape[1], fast_kernel(config, b).kc_eff
+        want = sum(wrap_signed_array(reference_gemm(a[:, p:p + kc],
+                                                    b[p:p + kc]), bits)
+                   for p in range(0, k, kc))
+    np.testing.assert_array_equal(fast.c, want)
+    bound = _BoundGemm(b, config, "fast", PackingCache())
+    c, cycles = bound(a.astype(bound.input_dtype))
+    assert c.dtype == bound.kernel.acc_dtype
+    np.testing.assert_array_equal(c, want)
+    assert cycles == fast.cycles
+    return bound
+
+
+class TestExactnessBoundary:
+    """The narrow-dtype rule at its edges: each kc-block multiplies in
+    float32 below an Eq. 5 bound of 2**24, float64 below 2**53 and
+    int64 beyond, and stays bit-exact on operands that hit the bound."""
+
+    A8W8_UNSIGNED = MixGemmConfig(bw_a=8, bw_b=8, signed_a=False,
+                                  blocking=SIM_BLOCKING)
+
+    def test_exact_dtype_thresholds(self):
+        assert exact_dtype(0) is np.float32
+        assert exact_dtype((1 << 24) - 1) is np.float32
+        assert exact_dtype(1 << 24) is np.float64
+        assert exact_dtype((1 << 53) - 1) is np.float64
+        assert exact_dtype(1 << 53) is np.int64
+
+    @pytest.mark.parametrize("pattern", ["extreme", "alternating",
+                                         "halves"])
+    def test_tightest_float32_block(self, pattern):
+        # Under SIM_BLOCKING the tightest 2-8-bit block is unsigned
+        # a8w8 at kc_eff = 512: 512 * 255 * 128 = 0.996 * 2**24.
+        config = self.A8W8_UNSIGNED
+        a, b = extreme_operands(pattern, 4, 512, 4)
+        kernel = fast_kernel(config, b)
+        assert kernel.kc_eff == 512
+        assert 512 * 255 * 128 == 16_711_680 < 1 << 24
+        assert block_dtypes(kernel) == [np.float32]
+        assert kernel.input_dtype is np.float32
+        assert kernel.acc_dtype is np.float32
+        bound = assert_kernel_paths_exact(config, a, b)
+        assert bound.input_dtype is np.float32
+        if pattern == "extreme":
+            assert reference_gemm(a, b).min() == -16_711_680
+
+    def test_block_bound_past_2_24_picks_float64(self):
+        # kc = 128 u-vectors -> kc_eff = 1024: 1024 * 255 * 128 >= 2**24.
+        # The 476-long tail block still fits float32.
+        from dataclasses import replace
+
+        config = replace(self.A8W8_UNSIGNED, blocking=BlockingParams(
+            mc=16, nc=16, kc=128))
+        a, b = extreme_operands("extreme", 4, 1500, 4)
+        kernel = fast_kernel(config, b)
+        assert block_dtypes(kernel) == [np.float64, np.float32]
+        assert kernel.acc_dtype is np.float64
+        assert kernel.input_dtype is np.int64
+        assert_kernel_paths_exact(config, a, b)
+
+    def test_block_bound_past_2_53_picks_int64(self, monkeypatch):
+        # No 2-8-bit block reaches 2**53 at a K that fits in memory
+        # (a8w8 would need K > 2.7e11), so lower both float ceilings
+        # below this block's bound to drive the int64 branch.
+        from repro.core import fastpath
+
+        config = self.A8W8_UNSIGNED
+        a, b = extreme_operands("alternating", 4, 512, 4)
+        monkeypatch.setattr(fastpath, "_FLOAT64_EXACT", 1 << 20)
+        monkeypatch.setattr(fastpath, "_FLOAT32_EXACT", 1 << 10)
+        kernel = fast_kernel(config, b)
+        assert block_dtypes(kernel) == [np.int64]
+        assert kernel.acc_dtype is np.int64
+        assert kernel.input_dtype is np.int64
+        assert_kernel_paths_exact(config, a, b)
+
+    @pytest.mark.parametrize("accmem_bits", [20, 24])
+    def test_sub_container_wrap_stays_integer(self, accmem_bits):
+        # Two float32 blocks of -16,711,680 each: the per-block wrap
+        # needs integers, so the kernel accumulates in int64.
+        config = MixGemmConfig(bw_a=8, bw_b=8, signed_a=False,
+                               blocking=SIM_BLOCKING,
+                               accmem_bits=accmem_bits)
+        a, b = extreme_operands("extreme", 4, 1024, 4)
+        kernel = fast_kernel(config, b)
+        assert block_dtypes(kernel) == [np.float32, np.float32]
+        assert kernel.wrap_bits == accmem_bits
+        assert kernel.acc_dtype is np.int64
+        assert kernel.input_dtype is np.int64
+        bound = assert_kernel_paths_exact(config, a, b)
+        c, _ = bound(a)
+        assert not np.array_equal(c, reference_gemm(a, b))  # it wrapped
 
 
 @pytest.mark.slow

@@ -3,12 +3,22 @@
 import numpy as np
 import pytest
 
+from repro.analysis.ranges import verify_plan
+from repro.core.binseg import value_range
 from repro.models.builders import build_tiny
-from repro.nn.layers import seed_init
+from repro.nn.layers import (
+    Flatten,
+    LayerQuantSpec,
+    QuantConv2d,
+    QuantLinear,
+    ReLU,
+    Sequential,
+    seed_init,
+)
 from repro.robustness.faults import FaultPlan, demo_graph, demo_input
 from repro.runtime.engine import InferenceEngine
 from repro.runtime.export_modules import export_model
-from repro.runtime.graph import GraphError
+from repro.runtime.graph import GraphError, export_sequential
 from repro.runtime.plan import compile_graph
 
 
@@ -264,3 +274,131 @@ class TestValidation:
         plan = compile_graph(graph)
         with pytest.raises(GraphError):
             plan.run(np.zeros((1, 2)))
+
+
+def _quant_steps(plan):
+    """``(step, bound GEMMs)`` for every quantized GEMM step of a plan."""
+    for step in plan.steps:
+        gemms = getattr(step, "gemms", None)
+        if gemms is None and getattr(step, "gemm", None) is not None:
+            gemms = [step.gemm]
+        if gemms:
+            yield step, gemms
+
+
+class TestNarrowOperands:
+    """Pin the dtype each layer runs in, so a silent fall-back to the
+    int64 round trip fails here rather than only in the benchmark."""
+
+    def test_resnet18_a8w8_stays_float32(self, resnet_graph, resnet_input):
+        plan = compile_graph(resnet_graph, backend="mixgemm",
+                             accmem_bits=64)
+        plan.run(resnet_input)
+        steps = list(_quant_steps(plan))
+        assert len(steps) >= 5
+        for step, gemms in steps:
+            for gemm in gemms:
+                assert gemm.mode == "fast"
+                assert all(dtype is np.float32
+                           for _, _, dtype in gemm.kernel.blocks)
+                assert gemm.input_dtype is np.float32
+            assert step._quant_act(np.zeros(3)).dtype == np.float32
+            for low in getattr(step, "_lowerings", {}).values():
+                assert low._buf.dtype == np.float32
+
+    @pytest.mark.parametrize("accmem_bits", [16, 32])
+    def test_wrapping_accmem_keeps_int64_operands(self, resnet_graph,
+                                                  resnet_input,
+                                                  accmem_bits):
+        plan = compile_graph(resnet_graph, backend="mixgemm",
+                             accmem_bits=accmem_bits)
+        ref = InferenceEngine(resnet_graph, backend="mixgemm",
+                              accmem_bits=accmem_bits).run(resnet_input)
+        got = plan.run(resnet_input)
+        assert np.array_equal(got.output, ref.output)
+        for step, gemms in _quant_steps(plan):
+            assert all(g.kernel.wrap_bits == accmem_bits for g in gemms)
+            assert step._quant_act(np.zeros(3)).dtype == np.int64
+            for low in getattr(step, "_lowerings", {}).values():
+                assert low._buf.dtype == np.int64
+
+
+# -- compiled-plan differential sweep ------------------------------------------
+
+#: Saturates the wide activation widths, so 16-bit AccMems really wrap.
+_SWEEP_INPUT = 8.0 * np.random.default_rng(0).normal(size=(1, 1, 24, 24))
+
+
+def _sweep_graph(act_bits, weight_bits, act_signed):
+    """conv (stride 2) -> grouped conv -> flatten -> linear, K up to 1152:
+    multi-block at SIM_BLOCKING for every activation width above 3."""
+    seed_init(act_bits * 10 + weight_bits)
+    spec = LayerQuantSpec(act_bits=act_bits, weight_bits=weight_bits,
+                          act_signed=act_signed)
+    model = Sequential(
+        QuantConv2d(1, 4, 3, spec=spec, stride=2, padding=1),
+        ReLU(),
+        QuantConv2d(4, 8, 3, spec=spec, padding=1, groups=2),
+        ReLU(),
+        Flatten(),
+        QuantLinear(8 * 12 * 12, 3, spec=spec),
+    )
+    model.eval()
+    return export_sequential(model, name="plan-sweep")
+
+
+def _check_plan_differential(act_bits, weight_bits, act_signed,
+                             accmem_bits):
+    graph = _sweep_graph(act_bits, weight_bits, act_signed)
+    plan = compile_graph(graph, backend="mixgemm", gemm_backend="fast",
+                         accmem_bits=accmem_bits)
+    got = plan.run(_SWEEP_INPUT)
+    event = InferenceEngine(graph, backend="mixgemm", gemm_backend="event",
+                            accmem_bits=accmem_bits).run(_SWEEP_INPUT)
+    assert np.array_equal(got.output, event.output)
+    assert _stats_tuples(got) == _stats_tuples(event)
+    lo_a, hi_a = value_range(act_bits, act_signed)
+    lo_b, hi_b = value_range(weight_bits, True)
+    k_max = max(g.k for _, gemms in _quant_steps(plan) for g in gemms)
+    if k_max * max(-lo_a, hi_a) * max(-lo_b, hi_b) < 1 << (accmem_bits - 1):
+        # No accumulator can wrap: the integer reference must agree too.
+        numpy = InferenceEngine(graph, backend="numpy").run(_SWEEP_INPUT)
+        assert np.array_equal(got.output, numpy.output)
+    assert verify_plan(plan) == []
+
+
+class TestPlanDifferential:
+    """Compiled fast plan vs the event engine (outputs + per-layer
+    cycles), vs the numpy reference where no AccMem can wrap, and a
+    clean plan-equivalence proof -- a 3-point tier-1 subset."""
+
+    @pytest.mark.parametrize("act_bits,weight_bits,act_signed,accmem_bits", [
+        (8, 8, False, 64),
+        (8, 8, False, 16),
+        (3, 7, True, 32),
+    ])
+    def test_subset(self, act_bits, weight_bits, act_signed, accmem_bits):
+        _check_plan_differential(act_bits, weight_bits, act_signed,
+                                 accmem_bits)
+
+    def test_subset_really_wraps(self):
+        graph = _sweep_graph(8, 8, False)
+        wrapped = compile_graph(graph, backend="mixgemm",
+                                accmem_bits=16).run(_SWEEP_INPUT)
+        numpy = InferenceEngine(graph, backend="numpy").run(_SWEEP_INPUT)
+        assert not np.array_equal(wrapped.output, numpy.output)
+
+
+@pytest.mark.slow
+class TestPlanDifferentialSweep:
+    """Every 2..8-bit pair, signed and unsigned activations, three
+    AccMem widths."""
+
+    @pytest.mark.parametrize("accmem_bits", [16, 32, 64])
+    @pytest.mark.parametrize("act_signed", [False, True])
+    @pytest.mark.parametrize("weight_bits", range(2, 9))
+    @pytest.mark.parametrize("act_bits", range(2, 9))
+    def test_all_pairs(self, act_bits, weight_bits, act_signed,
+                       accmem_bits):
+        _check_plan_differential(act_bits, weight_bits, act_signed,
+                                 accmem_bits)

@@ -103,7 +103,50 @@ class TestRoundTrip:
         assert share["plan_bytes_shared"] == share["plan_bytes_total"]
 
 
+def _held_arrays(obj):
+    """Every ndarray reachable from ``obj``'s attributes via containers."""
+    pending = list(vars(obj).values())
+    while pending:
+        value = pending.pop()
+        if isinstance(value, np.ndarray):
+            yield value
+        elif isinstance(value, (list, tuple)):
+            pending.extend(value)
+        elif isinstance(value, dict):
+            pending.extend(value.values())
+
+
+def _segment_span(buf):
+    raw = np.frombuffer(buf, dtype=np.uint8)
+    start = int(raw.__array_interface__["data"][0])
+    return start, start + raw.nbytes
+
+
 class TestZeroCopyDiscipline:
+    @pytest.mark.parametrize("accmem_bits", [64, 12])
+    def test_attached_kernels_hold_only_segment_views(self, graph,
+                                                      accmem_bits):
+        """``plan_bytes_private`` only sees the exported slots; a panel
+        cached anywhere else on a kernel would be a private per-worker
+        copy it cannot count.  Every array a kernel holds must alias the
+        segment."""
+        plan = _compile(graph, gemm_backend="fast", accmem_bits=accmem_bits)
+        with export_plan(plan) as shared:
+            with attach_plan(shared.handle) as attached:
+                start, end = _segment_span(attached.buf)
+                kernels = [gemm.kernel for step in attached.plan.steps
+                           for gemm in (getattr(step, "gemms", None)
+                                        or [getattr(step, "gemm", None)])
+                           if gemm is not None]
+                assert kernels
+                for kernel in kernels:
+                    arrays = list(_held_arrays(kernel))
+                    assert arrays
+                    for arr in arrays:
+                        addr = int(arr.__array_interface__["data"][0])
+                        assert start <= addr
+                        assert addr + arr.nbytes <= end
+
     def test_exporter_rebinds_onto_segment(self, graph):
         plan = _compile(graph)
         with export_plan(plan) as shared:
@@ -183,8 +226,7 @@ class TestRejection:
                 spec = next(s for s in shared.handle.arrays
                             if ".block" in s.key or s.key.endswith(".b"))
                 # flip the first element's exponent byte: the baked
-                # panel value changes by orders of magnitude, so the
-                # int64 cast inside the verifier cannot mask it
+                # panel value changes by orders of magnitude
                 hi = spec.offset + np.dtype(spec.dtype).itemsize - 1
                 shared.buf[hi] ^= 0x40
                 diags = verify_plan(attached.plan)
