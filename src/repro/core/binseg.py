@@ -30,6 +30,7 @@ guarantees the correction is always representable.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -68,6 +69,7 @@ def clustering_width(bw_a: int, bw_b: int, cluster_size: int) -> int:
     return 1 + bw_a + bw_b + math.ceil(math.log2(cluster_size + 1))
 
 
+@functools.lru_cache(maxsize=None)
 def input_cluster_size(
     bw_a: int, bw_b: int, mul_width: int = DEFAULT_MUL_WIDTH
 ) -> int:
@@ -75,7 +77,9 @@ def input_cluster_size(
 
     Equations 3 and 4 are mutually dependent (the width per element grows
     with the cluster size), so we take the largest ``n`` with
-    ``n * clustering_width(bw_a, bw_b, n) <= mul_width``.
+    ``n * clustering_width(bw_a, bw_b, n) <= mul_width``.  Memoised: the
+    answer is a pure function of three ints (a rejected bitwidth raises
+    on every call, since exceptions are never cached).
     """
     _check_bitwidth(bw_a, "bw_a")
     _check_bitwidth(bw_b, "bw_b")
@@ -121,16 +125,27 @@ def ceil_div(n: int, d: int) -> int:
     return -(-n // d)
 
 
-def _check_elements(
+def _checked_elements(
     values: Sequence[int], bw: int, signed: bool, name: str
-) -> None:
+) -> list[int]:
+    """``values`` as Python ints, each verified to fit ``bw`` bits."""
     lo, hi = value_range(bw, signed)
-    for v in values:
-        if not lo <= int(v) <= hi:
+    out = [int(v) for v in values]
+    for v in out:
+        if not lo <= v <= hi:
             raise BinSegError(
-                f"{name} element {int(v)} does not fit {bw}-bit "
+                f"{name} element {v} does not fit {bw}-bit "
                 f"{'signed' if signed else 'unsigned'} range [{lo}, {hi}]"
             )
+    return out
+
+
+def _pack_fields(values: Sequence[int], cw: int) -> int:
+    """Horner-pack Python ints into ``cw``-bit digits, first element on top."""
+    packed = 0
+    for v in values:
+        packed = (packed << cw) + v
+    return packed
 
 
 def pack_cluster(values: Sequence[int], cw: int, *, reverse: bool) -> int:
@@ -142,34 +157,78 @@ def pack_cluster(values: Sequence[int], cw: int, *, reverse: bool) -> int:
     digit into the inner product.  The result is an integer over Z: negative
     elements contribute negative terms, so the value itself may be negative.
     """
-    ordered = list(values)[::-1] if reverse else list(values)
-    packed = 0
-    top = len(ordered) - 1
-    for i, v in enumerate(ordered):
-        packed += int(v) << ((top - i) * cw)
-    return packed
+    ints = [int(v) for v in values]
+    return _pack_fields(ints[::-1] if reverse else ints, cw)
+
+
+@dataclass(frozen=True)
+class ClusterDatapath:
+    """Equations 3-7 resolved for one cluster length ``n``.
+
+    The constants ``bs.set`` leaves in the Control Unit for ``n``-element
+    clusters: the DCU's ``cw``-bit field width, the DFU's slice LSB
+    ``(n - 1) * cw`` (Eq. 6-7) and the mask/sign constants that read the slice as a signed
+    ``cw``-bit value.  This is the one implementation of pack, multiply
+    and slice: :func:`cluster_inner_product` validates its operands and
+    then runs it, and the u-engine runs it directly on unpacked u-vector
+    fields, whose ranges hold by construction.  Operands must be Python
+    ints (NumPy scalars would overflow in the wide multiply).
+    Build instances with :func:`cluster_datapath`.
+    """
+
+    cw: int
+    slice_lsb: int
+    cw_mask: int
+    cw_sign: int
+
+    def pack_a(self, values: Sequence[int]) -> int:
+        """The ``a`` input-cluster: element 0 in the top field."""
+        return _pack_fields(values, self.cw)
+
+    def pack_b(self, values: Sequence[int]) -> int:
+        """The ``b`` input-cluster: fields in reversed order (Figure 1)."""
+        return _pack_fields(values[::-1], self.cw)
+
+    def extract(self, product: int) -> int:
+        """Pull the cluster inner product out of a wide product (Eq. 5).
+
+        The digit of ``product`` in base ``2**cw`` that starts at
+        ``slice_lsb`` is the inner product.  Because lower digits may be negative, the
+        floor-division residue below the slice can borrow one unit from
+        it; the borrow happened exactly when the bit just below the slice
+        is set (the residue then exceeds half the slice weight, which
+        Equation 3's headroom makes otherwise impossible).  This mirrors
+        the single-bit correction the hardware Data Filtering Unit
+        applies.
+        """
+        lsb = self.slice_lsb
+        sign = self.cw_sign
+        value = (((product >> lsb) & self.cw_mask) ^ sign) - sign
+        if lsb:
+            value += (product >> (lsb - 1)) & 1
+        return value
+
+    def inner_product(self, a: Sequence[int], b: Sequence[int]) -> int:
+        """Pack both operands, do the one wide multiply, slice."""
+        return self.extract(self.pack_a(a) * self.pack_b(b))
+
+
+@functools.lru_cache(maxsize=None)
+def cluster_datapath(n: int, cw: int) -> ClusterDatapath:
+    """The memoised :class:`ClusterDatapath` for ``n`` fields of ``cw`` bits."""
+    if n < 1:
+        raise BinSegError(f"cluster length must be >= 1, got {n}")
+    _, slice_lsb = slice_bounds(n, cw)
+    return ClusterDatapath(cw=cw, slice_lsb=slice_lsb,
+                           cw_mask=(1 << cw) - 1, cw_sign=1 << (cw - 1))
 
 
 def extract_inner_product(product: int, cluster_size: int, cw: int) -> int:
     """Pull the cluster inner product out of a wide multiplication (Eq. 5).
 
-    The digit of ``product`` in base ``2**cw`` at position
-    ``cluster_size - 1`` is the inner product.  Because lower digits may be
-    negative, the floor-division residue below the slice can borrow one unit
-    from it; the borrow happened exactly when the bit just below the slice is
-    set (the residue then exceeds half the slice weight, which Equation 3's
-    headroom makes otherwise impossible).  This mirrors the single-bit
-    correction the hardware Data Filtering Unit applies.
+    See :meth:`ClusterDatapath.extract` for the borrow-bit rule.
     """
-    _, slice_lsb = slice_bounds(cluster_size, cw)
-    raw = (product >> slice_lsb) & ((1 << cw) - 1)
-    # Interpret the slice as a signed cw-bit value.
-    if raw >= 1 << (cw - 1):
-        raw -= 1 << cw
-    if slice_lsb == 0:
-        return raw
-    borrow = (product >> (slice_lsb - 1)) & 1
-    return raw + borrow
+    return cluster_datapath(cluster_size, cw).extract(int(product))
 
 
 def cluster_inner_product(
@@ -199,12 +258,10 @@ def cluster_inner_product(
             f"cluster of {n} elements exceeds input_cluster_size={max_n} "
             f"for {bw_a}x{bw_b}-bit data on a {mul_width}-bit multiplier"
         )
-    _check_elements(a_values, bw_a, signed_a, "a")
-    _check_elements(b_values, bw_b, signed_b, "b")
+    a = _checked_elements(a_values, bw_a, signed_a, "a")
+    b = _checked_elements(b_values, bw_b, signed_b, "b")
     cw = clustering_width(bw_a, bw_b, max_n)
-    a_cluster = pack_cluster(a_values, cw, reverse=False)
-    b_cluster = pack_cluster(b_values, cw, reverse=True)
-    return extract_inner_product(a_cluster * b_cluster, n, cw)
+    return cluster_datapath(n, cw).inner_product(a, b)
 
 
 def segmented_inner_product(

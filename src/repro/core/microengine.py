@@ -34,15 +34,20 @@ accumulation cycles for the paper's a8-w8, a8-w6 and a6-w4 examples.
 from __future__ import annotations
 
 import functools
-import math
+import operator
 from collections import deque
 from dataclasses import dataclass, field
 
-from .binseg import BinSegSpec, cluster_inner_product
+from .binseg import (
+    ClusterDatapath,
+    clustering_width,
+    cluster_datapath,
+    input_cluster_size,
+)
 from .config import MixGemmConfig, UVectorLayout
 from .errors import ReproError
 from .isa import BsGet, BsInstruction, BsIp, BsSet, InstructionStream
-from .packing import unpack_word
+from .packing import unpack_fields
 
 
 class MicroEngineError(ReproError, RuntimeError):
@@ -205,6 +210,91 @@ def effective_macs_per_cycle(config: MixGemmConfig) -> float:
     return group_schedule(config).macs_per_cycle
 
 
+@dataclass(frozen=True)
+class EngineDatapath:
+    """Everything ``bs.set`` fixes for one configuration (Section III-B).
+
+    After ``bs.set`` the DSU walks the same schedule for every group, the
+    DCU converts the same fields and the DFU takes the same slices; only
+    the u-vector data changes.  The engine therefore resolves all of it
+    once per configuration instead of once per group or cluster:
+
+    * ``schedule`` -- the full-group DSU walk (the engine always walks
+      full groups; tail groups carry zero padding);
+    * ``a_shifts``/``b_shifts`` -- per u-vector word, the bit offsets of
+      the fields it contributes to a group, with the ``*_mask``/``*_sign``
+      constants of :func:`~repro.core.packing.unpack_fields`;
+    * ``clusters`` -- per walk cycle, the ``[start, stop)`` element range
+      the DSU selects and the :class:`~repro.core.binseg.ClusterDatapath`
+      (field width, slice LSB, sign constants) for that chunk length;
+    * ``a_ready``/``b_ready`` -- per word, walk cycles from the DSU's
+      first read of it to the group's end; ``a_hold``/``b_hold`` -- walk
+      cycles from its release to the group's end.
+    """
+
+    kua: int
+    kub: int
+    schedule: GroupSchedule
+    a_shifts: tuple[tuple[int, ...], ...]
+    b_shifts: tuple[tuple[int, ...], ...]
+    a_mask: int
+    a_sign: int
+    b_mask: int
+    b_sign: int
+    clusters: tuple[tuple[int, int, ClusterDatapath], ...]
+    a_ready: tuple[int, ...]
+    b_ready: tuple[int, ...]
+    a_hold: tuple[int, ...]
+    b_hold: tuple[int, ...]
+
+
+def engine_datapath(config: MixGemmConfig) -> EngineDatapath:
+    """The memoised :class:`EngineDatapath` of ``config``."""
+    return _engine_datapath(config.bw_a, config.bw_b, config.signed_a,
+                            config.signed_b, config.mul_width, config.kua,
+                            config.kub, config.word_bits)
+
+
+def _field_shifts(n: int, n_words: int, bw: int,
+                  word_bits: int) -> tuple[tuple[int, ...], ...]:
+    counts = distribute_elements(n, n_words, word_bits // bw)
+    return tuple(tuple(range(0, count * bw, bw)) for count in counts)
+
+
+@functools.lru_cache(maxsize=None)
+def _engine_datapath(bw_a: int, bw_b: int, signed_a: bool, signed_b: bool,
+                     mul_width: int, kua: int, kub: int,
+                     word_bits: int) -> EngineDatapath:
+    lay = UVectorLayout(bw_a=bw_a, bw_b=bw_b, kua=kua, kub=kub,
+                        word_bits=word_bits)
+    size = input_cluster_size(bw_a, bw_b, mul_width)
+    cw = clustering_width(bw_a, bw_b, size)
+    n = lay.group_elements
+    sched = dsu_walk(lay.elems_a, lay.elems_b, kua, kub, size, n)
+    clusters = []
+    start = 0
+    for chunk in sched.chunks:
+        clusters.append((start, start + chunk, cluster_datapath(chunk, cw)))
+        start += chunk
+    cycles = sched.cycles
+    return EngineDatapath(
+        kua=kua,
+        kub=kub,
+        schedule=sched,
+        a_shifts=_field_shifts(n, kua, bw_a, word_bits),
+        b_shifts=_field_shifts(n, kub, bw_b, word_bits),
+        a_mask=(1 << bw_a) - 1,
+        a_sign=1 << (bw_a - 1) if signed_a else 0,
+        b_mask=(1 << bw_b) - 1,
+        b_sign=1 << (bw_b - 1) if signed_b else 0,
+        clusters=tuple(clusters),
+        a_ready=tuple(cycles - needed for needed in sched.a_needed),
+        b_ready=tuple(cycles - needed for needed in sched.b_needed),
+        a_hold=tuple(cycles - rel for rel in sched.a_release),
+        b_hold=tuple(cycles - rel for rel in sched.b_release),
+    )
+
+
 # ---------------------------------------------------------------------------
 # Performance monitoring unit
 # ---------------------------------------------------------------------------
@@ -277,10 +367,18 @@ class MicroEngine:
         Full Mix-GEMM configuration (data sizes, kua/kub, buffer depth,
         AccMem slots from the blocking parameters).
     emulate_datapath:
-        When true (default) every accumulation goes through the binary
-        segmentation pack/multiply/slice pipeline; when false the group
-        inner product is computed directly (identical result -- asserted
-        by the test-suite -- but faster for large functional runs).
+        When true (default) every walk cycle of every group goes through
+        the binary-segmentation datapath: the DCU packs both input-clusters
+        (``b`` reversed) into ``cw``-bit fields, the multiplier forms the
+        one wide product and the DFU takes the signed slice plus the
+        borrow bit (:class:`~repro.core.binseg.ClusterDatapath`, the same
+        code :func:`~repro.core.binseg.cluster_inner_product` runs).  The
+        field widths, slice positions and DSU schedule are resolved once
+        per ``bs.set`` (:func:`engine_datapath`), and the unpacked fields
+        are in range by construction, so nothing is re-derived or
+        re-validated per cluster.  When false the group inner product is
+        computed directly: identical values, cycles and PMU counts
+        (asserted by the test-suite), without the packing work.
     fault_hook:
         Optional fault-injection hook (duck-typed; see
         :class:`repro.robustness.faults.FaultInjector`).  After every
@@ -314,8 +412,7 @@ class MicroEngine:
     def set_config(self, config: MixGemmConfig) -> int:
         """Model ``bs.set``: single-cycle Control Unit reconfiguration."""
         self._config = config
-        self._spec: BinSegSpec = config.binseg
-        self._layout: UVectorLayout = config.layout
+        self._datapath = engine_datapath(config)
         self._depth = config.source_buffer_depth
         self._accmem_bits = config.accmem_bits
         self._accmem = [0] * config.blocking.accmem_slots
@@ -468,8 +565,8 @@ class MicroEngine:
     # -- engine internals ------------------------------------------------------
 
     def _group_ready(self) -> bool:
-        return (len(self._a_queue) >= self._layout.kua
-                and len(self._b_queue) >= self._layout.kub)
+        return (len(self._a_queue) >= self._datapath.kua
+                and len(self._b_queue) >= self._datapath.kub)
 
     def _try_process_groups(self) -> None:
         while self._group_ready():
@@ -481,41 +578,35 @@ class MicroEngine:
         # leftover words simply wait for their group to complete.
 
     def _process_group(self) -> None:
-        lay = self._layout
-        a_words = [self._a_queue.popleft() for _ in range(lay.kua)]
-        b_words = [self._b_queue.popleft() for _ in range(lay.kub)]
-        sched = dsu_walk(
-            lay.elems_a, lay.elems_b, lay.kua, lay.kub,
-            self._spec.input_cluster_size, lay.group_elements,
-        )
+        dp = self._datapath
+        a_words = [self._a_queue.popleft() for _ in range(dp.kua)]
+        b_words = [self._b_queue.popleft() for _ in range(dp.kub)]
+        cycles = dp.schedule.cycles
         # Group start: engine free and the first u-vector of each stream
         # delivered; each walk cycle additionally waits for the u-vectors it
         # first touches.
         start = max(self._engine_time,
                     a_words[0].arrival, b_words[0].arrival)
-        finish = start
-        for w, needed in enumerate(sched.a_needed):
-            finish = max(finish, a_words[w].arrival + sched.cycles - needed)
-        for w, needed in enumerate(sched.b_needed):
-            finish = max(finish, b_words[w].arrival + sched.cycles - needed)
-        finish = max(finish, start + sched.cycles)
+        finish = start + cycles
+        for pw, ready in zip(a_words, dp.a_ready):
+            finish = max(finish, pw.arrival + ready)
+        for pw, ready in zip(b_words, dp.b_ready):
+            finish = max(finish, pw.arrival + ready)
         self._engine_time = finish
-        self.pmu.engine_busy_cycles += sched.cycles
+        self.pmu.engine_busy_cycles += cycles
         # Each u-vector keeps its Source Buffer slot until the DSU finishes
         # with it; anchor the relative release offsets to the group finish.
-        for rel in sched.a_release:
-            self._a_releases.append(finish - (sched.cycles - rel))
-        for rel in sched.b_release:
-            self._b_releases.append(finish - (sched.cycles - rel))
+        self._a_releases.extend(finish - hold for hold in dp.a_hold)
+        self._b_releases.extend(finish - hold for hold in dp.b_hold)
         # Functional accumulation into a finite-width AccMem register:
         # values past the configured width wrap exactly as hardware would.
-        value = self._group_inner_product(a_words, b_words, sched)
+        value = self._group_inner_product(a_words, b_words)
         slot = self._group_counter % len(self._accmem)
         self._accmem[slot] = wrap_signed(self._accmem[slot] + value,
                                          self._accmem_bits)
         self._group_counter += 1
         self.pmu.groups += 1
-        self.pmu.macs += sched.n_elements
+        self.pmu.macs += dp.schedule.n_elements
         if self._fault_hook is not None:
             self._fault_hook.on_accumulate(self._accmem,
                                            self._group_counter - 1)
@@ -524,29 +615,15 @@ class MicroEngine:
                 self._accmem[i] = wrap_signed(v, self._accmem_bits)
 
     def _group_inner_product(self, a_words: list[_PendingWord],
-                             b_words: list[_PendingWord],
-                             sched: GroupSchedule) -> int:
-        lay = self._layout
-        a_counts = distribute_elements(sched.n_elements, lay.kua, lay.elems_a)
-        b_counts = distribute_elements(sched.n_elements, lay.kub, lay.elems_b)
-        a_elems: list[int] = []
-        for pw, count in zip(a_words, a_counts):
-            a_elems.extend(unpack_word(pw.word, lay.bw_a, count,
-                                       signed=self._spec.signed_a))
-        b_elems: list[int] = []
-        for pw, count in zip(b_words, b_counts):
-            b_elems.extend(unpack_word(pw.word, lay.bw_b, count,
-                                       signed=self._spec.signed_b))
+                             b_words: list[_PendingWord]) -> int:
+        dp = self._datapath
+        a = unpack_fields([pw.word for pw in a_words], dp.a_shifts,
+                          dp.a_mask, dp.a_sign)
+        b = unpack_fields([pw.word for pw in b_words], dp.b_shifts,
+                          dp.b_mask, dp.b_sign)
         if not self._emulate_datapath:
-            return sum(a * b for a, b in zip(a_elems, b_elems))
+            return sum(map(operator.mul, a, b))
         total = 0
-        pos = 0
-        for chunk in sched.chunks:
-            total += cluster_inner_product(
-                a_elems[pos:pos + chunk], b_elems[pos:pos + chunk],
-                self._spec.bw_a, self._spec.bw_b,
-                signed_a=self._spec.signed_a, signed_b=self._spec.signed_b,
-                mul_width=self._spec.mul_width,
-            )
-            pos += chunk
+        for lo, hi, cluster in dp.clusters:
+            total += cluster.inner_product(a[lo:hi], b[lo:hi])
         return total

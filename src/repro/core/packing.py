@@ -48,6 +48,23 @@ def pack_word(values: Sequence[int], bw: int, word_bits: int = 64) -> int:
     return word
 
 
+def unpack_fields(
+    words: Sequence[int], shifts: Sequence[Sequence[int]], mask: int,
+    sign: int,
+) -> list[int]:
+    """Read the fields at ``shifts[w]`` of each ``words[w]``, in order.
+
+    ``mask`` is ``2**bw - 1``; ``sign`` is the field's sign bit
+    ``2**(bw - 1)`` for two's-complement data and ``0`` for unsigned, so
+    ``(field ^ sign) - sign`` sign- or zero-extends without a branch (the
+    DCU's conversion step).  Every result fits ``bw`` bits by
+    construction.
+    """
+    return [(((word >> s) & mask) ^ sign) - sign
+            for word, word_shifts in zip(words, shifts)
+            for s in word_shifts]
+
+
 def unpack_word(
     word: int, bw: int, count: int, *, signed: bool, word_bits: int = 64
 ) -> list[int]:
@@ -58,15 +75,9 @@ def unpack_word(
             f"cannot unpack {count} elements from a {word_bits}-bit word "
             f"holding at most {capacity} at {bw} bits"
         )
-    mask = (1 << bw) - 1
-    sign_bit = 1 << (bw - 1)
-    out = []
-    for i in range(count):
-        v = (word >> (i * bw)) & mask
-        if signed and v & sign_bit:
-            v -= 1 << bw
-        out.append(v)
-    return out
+    sign = 1 << (bw - 1) if signed else 0
+    return unpack_fields((int(word),), (range(0, count * bw, bw),),
+                         (1 << bw) - 1, sign)
 
 
 def _check_matrix(matrix: np.ndarray, bw: int, signed: bool,

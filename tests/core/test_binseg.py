@@ -66,6 +66,15 @@ class TestInputClusterSize:
         assert min(sizes) == 3
         assert max(sizes) == 7
 
+    def test_memoised_yet_rejects_bad_bitwidth_every_call(self):
+        # Exceptions are never cached: a bad width raises on every call.
+        for _ in range(2):
+            with pytest.raises(BinSegError):
+                input_cluster_size(9, 8)
+        before = input_cluster_size.cache_info().hits
+        assert input_cluster_size(7, 5) == input_cluster_size(7, 5)
+        assert input_cluster_size.cache_info().hits > before
+
     def test_monotone_in_bitwidth(self):
         # Narrower data can never reduce the cluster size.
         for bw in range(2, 8):

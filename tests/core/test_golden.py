@@ -1,9 +1,11 @@
 """Golden-vector suite tests (the RTL-verification artifact)."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from repro.core.binseg import BinSegSpec
+from repro.core.binseg import DEFAULT_MUL_WIDTH, BinSegSpec, cluster_datapath
 from repro.core.golden import (
     dump_suite,
     generate_suite,
@@ -78,3 +80,37 @@ class TestSerialization:
         dump_suite(str(path), suite)
         text = path.read_text()
         assert "mix-gemm-golden-v1" in text
+
+
+#: The committed suite: 49 (bw_a, bw_b) pairs x 64 signed vectors.
+COMMITTED_SUITE = Path(__file__).resolve().parents[2] / "golden.json"
+
+
+class TestCommittedSuite:
+    """``golden.json`` pins the packed clusters, the wide product and the
+    slice bit for bit: any drift in the shared pack/multiply/slice code
+    shows up here."""
+
+    def test_regenerates_byte_for_byte(self, tmp_path):
+        path = tmp_path / "golden.json"
+        dump_suite(str(path), generate_suite(vectors_per_config=64))
+        assert path.read_bytes() == COMMITTED_SUITE.read_bytes()
+
+    def test_shared_datapath_reproduces_every_vector(self):
+        suite = load_suite(str(COMMITTED_SUITE))
+        assert len(suite) == 49 * 64
+        assert len({(v.bw_a, v.bw_b) for v in suite}) == 49
+        operand_mask = (1 << DEFAULT_MUL_WIDTH) - 1
+        product_mask = (1 << 2 * DEFAULT_MUL_WIDTH) - 1
+        for v in suite:
+            datapath = cluster_datapath(v.cluster_size, v.cw)
+            assert datapath.slice_lsb == v.slice_lsb
+            a_cluster = datapath.pack_a(v.a_elements)
+            b_cluster = datapath.pack_b(v.b_elements)
+            product = a_cluster * b_cluster
+            assert a_cluster & operand_mask == v.a_cluster
+            assert b_cluster & operand_mask == v.b_cluster
+            assert product & product_mask == v.product
+            assert datapath.extract(product) == v.expected
+            assert datapath.inner_product(
+                v.a_elements, v.b_elements) == v.expected

@@ -1,13 +1,17 @@
 """Unit tests for the u-engine: DSU schedule, timing, PMU, AccMem."""
 
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
+from repro.core.binseg import SUPPORTED_BITWIDTHS, value_range
 from repro.core.config import (
     BlockingParams,
     MixGemmConfig,
     all_size_combinations,
 )
+from repro.core.gemm import MixGemm, reference_gemm
 from repro.core.isa import BsGet, BsIp, BsSet, InstructionStream
 from repro.core.microengine import (
     MicroEngine,
@@ -115,6 +119,45 @@ def _make_group_words(cfg, a_elems, b_elems):
     return a_words, b_words
 
 
+#: (signed_a, signed_b) combinations the datapath must handle.
+SIGNEDNESS = [(True, True), (True, False), (False, True), (False, False)]
+
+
+def _extreme_operands(cfg, n):
+    """Named ``n``-long operand pairs at the corners of both ranges."""
+    lo_a, hi_a = value_range(cfg.bw_a, cfg.signed_a)
+    lo_b, hi_b = value_range(cfg.bw_b, cfg.signed_b)
+    alt_a = [lo_a if i % 2 == 0 else hi_a for i in range(n)]
+    alt_b = [lo_b if i % 2 == 0 else hi_b for i in range(n)]
+    return {
+        "min x min": ([lo_a] * n, [lo_b] * n),
+        "max x min": ([hi_a] * n, [lo_b] * n),
+        "max x max": ([hi_a] * n, [hi_b] * n),
+        "alternating in phase": (alt_a, alt_b),
+        "alternating out of phase": (alt_a, alt_b[1:] + alt_b[:1]),
+    }
+
+
+def _run_one_group(cfg, a, b):
+    """One group through an emulating and a direct engine: each one's
+    AccMem value and PMU counters."""
+    a_words, b_words = _make_group_words(cfg, a, b)
+    values, pmus = [], []
+    for datapath in (True, False):
+        engine = MicroEngine(cfg, emulate_datapath=datapath)
+        for ku in range(max(cfg.kua, cfg.kub)):
+            engine.push_pair(
+                a_words[ku] if ku < cfg.kua else 0,
+                b_words[ku] if ku < cfg.kub else 0,
+                push_a=ku < cfg.kua,
+                push_b=ku < cfg.kub,
+            )
+        value, _ = engine.read_slot(0)
+        values.append(value)
+        pmus.append(asdict(engine.pmu))
+    return values, pmus
+
+
 class TestMicroEngineFunctional:
     def test_single_group_inner_product(self):
         cfg = MixGemmConfig(bw_a=8, bw_b=8,
@@ -149,29 +192,20 @@ class TestMicroEngineFunctional:
         assert second == 0
 
     def test_datapath_matches_direct(self):
-        rng = np.random.default_rng(3)
-        for bw_a, bw_b in [(8, 8), (8, 6), (6, 4), (3, 2), (2, 2)]:
-            cfg = MixGemmConfig(bw_a=bw_a, bw_b=bw_b)
-            n = cfg.layout.group_elements
-            a = [int(v) for v in
-                 rng.integers(-(1 << (bw_a - 1)), 1 << (bw_a - 1), size=n)]
-            b = [int(v) for v in
-                 rng.integers(-(1 << (bw_b - 1)), 1 << (bw_b - 1), size=n)]
-            a_words, b_words = _make_group_words(cfg, a, b)
-            results = []
-            for datapath in (True, False):
-                engine = MicroEngine(cfg, emulate_datapath=datapath)
-                for ku in range(max(cfg.kua, cfg.kub)):
-                    engine.push_pair(
-                        a_words[ku] if ku < cfg.kua else 0,
-                        b_words[ku] if ku < cfg.kub else 0,
-                        push_a=ku < cfg.kua,
-                        push_b=ku < cfg.kub,
-                    )
-                value, _ = engine.read_slot(0)
-                results.append(value)
-            assert results[0] == results[1] == int(np.dot(a, b)), \
-                f"a{bw_a}-w{bw_b}"
+        # Every pair and signedness on extreme operands: they drive each
+        # field to its range limit and make the digits below the slice
+        # negative, which are the borrow-bit cases.
+        for bw_a, bw_b in all_size_combinations():
+            for signed_a, signed_b in SIGNEDNESS:
+                cfg = MixGemmConfig(bw_a=bw_a, bw_b=bw_b,
+                                    signed_a=signed_a, signed_b=signed_b)
+                n = cfg.layout.group_elements
+                for case, (a, b) in _extreme_operands(cfg, n).items():
+                    where = (cfg.name, signed_a, signed_b, case)
+                    values, pmus = _run_one_group(cfg, a, b)
+                    assert values[0] == values[1] == int(np.dot(a, b)), \
+                        where
+                    assert pmus[0] == pmus[1], where
 
     def test_protocol_violations(self):
         engine = MicroEngine()
@@ -264,3 +298,66 @@ class TestStreamExecution:
         engine = MicroEngine()
         with pytest.raises(MicroEngineError):
             engine.execute(stream)
+
+
+#: Small cache blocks so ragged GEMMs cross several m, n and k blocks.
+RAGGED_BLOCKING = BlockingParams(mc=8, nc=8, kc=2, mr=4, nr=4)
+
+
+def _event_gemm(cfg, a, b, *, emulate_datapath, fault_hook=None):
+    result = MixGemm(cfg, emulate_datapath=emulate_datapath,
+                     backend="event", fault_hook=fault_hook).gemm(a, b)
+    return result.c, result.cycles, asdict(result.pmu)
+
+
+def _ragged_operands(cfg, seed):
+    """``m``/``n`` off the 4x4 register tile, ``k`` off the group size."""
+    m, k, n = 9, 3 * cfg.layout.group_elements + 5, 7
+    lo_a, hi_a = value_range(cfg.bw_a, cfg.signed_a)
+    lo_b, hi_b = value_range(cfg.bw_b, cfg.signed_b)
+    rng = np.random.default_rng(seed)
+    return (rng.integers(lo_a, hi_a + 1, size=(m, k)),
+            rng.integers(lo_b, hi_b + 1, size=(k, n)))
+
+
+@pytest.mark.slow
+class TestEventGemmDifferential:
+    """Whole event-backend GEMMs: the emulated datapath, the direct
+    inner product and ``reference_gemm`` agree on C, and both engine
+    modes report identical cycles and PMU counters."""
+
+    @pytest.mark.parametrize("signed_a, signed_b", SIGNEDNESS)
+    @pytest.mark.parametrize("bw_b", SUPPORTED_BITWIDTHS)
+    @pytest.mark.parametrize("bw_a", SUPPORTED_BITWIDTHS)
+    def test_ragged_gemm(self, bw_a, bw_b, signed_a, signed_b):
+        cfg = MixGemmConfig(bw_a=bw_a, bw_b=bw_b, signed_a=signed_a,
+                            signed_b=signed_b, blocking=RAGGED_BLOCKING)
+        a, b = _ragged_operands(cfg, seed=bw_a * 100 + bw_b * 10
+                                + 2 * signed_a + signed_b)
+        c, cycles, pmu = _event_gemm(cfg, a, b, emulate_datapath=True)
+        c_direct, cycles_direct, pmu_direct = _event_gemm(
+            cfg, a, b, emulate_datapath=False)
+        np.testing.assert_array_equal(c, reference_gemm(a, b))
+        np.testing.assert_array_equal(c_direct, c)
+        assert cycles == cycles_direct
+        assert pmu == pmu_direct
+
+    def test_accmem_fault_lands_identically(self):
+        from repro.robustness.faults import FaultInjector, FaultPlan, FaultSpec
+
+        cfg = MixGemmConfig(bw_a=6, bw_b=4, blocking=RAGGED_BLOCKING)
+        a, b = _ragged_operands(cfg, seed=7)
+        runs, injected = [], []
+        for emulate in (True, False):
+            injector = FaultInjector(FaultPlan(
+                faults=(FaultSpec(site="accmem", index=3, bit=21),)))
+            runs.append(_event_gemm(cfg, a, b, emulate_datapath=emulate,
+                                    fault_hook=injector))
+            injected.append([f.description for f in injector.injected])
+        (c, cycles, pmu), (c_direct, cycles_direct, pmu_direct) = runs
+        assert len(injected[0]) == 1
+        assert injected[0] == injected[1]
+        assert not np.array_equal(c, reference_gemm(a, b))
+        np.testing.assert_array_equal(c_direct, c)
+        assert cycles == cycles_direct
+        assert pmu == pmu_direct
