@@ -1,11 +1,11 @@
 """Repo-invariant linter: ``ast``-level rules the reproduction lives by.
 
-Thirteen rules, numbered flake8-style; each encodes an invariant the
-codebase promises elsewhere (error hierarchy in ``core/errors.py``,
-determinism in the test harness, integer-exactness of the kernel
-modules, honest error handling, unit-annotated cost models, GEMM
-execution routed through the backend dispatch, weight quantization
-hoisted out of the per-call hot path):
+Twelve rules, numbered flake8-style (REP012 is retired); each encodes
+an invariant the codebase promises elsewhere (error hierarchy in
+``core/errors.py``, determinism in the test harness, integer-exactness
+of the kernel modules, honest error handling, unit-annotated cost
+models, GEMM execution routed through the backend dispatch, weight
+quantization hoisted out of the per-call hot path):
 
 * **REP001** -- every exception class derives from ``ReproError``;
 * **REP002** -- no unseeded global RNG (``np.random.rand`` and friends,
@@ -52,22 +52,15 @@ hoisted out of the per-call hot path):
   memory outlives the process -- a leaked segment stays in
   ``/dev/shm`` until reboot, which is exactly the failure mode the
   zero-copy plan distribution (``runtime/plan.py``) must never have.
-* **REP012** -- on-disk cache/state writers (the cost-model calibration
-  cache, ``analysis/cost/calibrate.py``) must publish atomically: any
-  function that ``open()``\\ s a file for writing (or calls
-  ``Path.write_text``/``write_bytes``) must also call ``os.replace`` --
-  serialize to a temporary file in the same directory, then rename.  A
-  concurrent reader (or a crash mid-write) must see the old entry or
-  the new one, never a torn file; every process that compiles or runs
-  a fast-path plan reads this cache through the timing oracle.
 * **REP013** -- no hard-coded cycle/latency cost constants outside the
   ISA cost table homes (``core/isa.py``, ``core/config.py``) and the
   cost model that consumes them (``analysis/cost/``): a nonzero
   integer literal assigned to (or passed as, or defaulted into) a
   name ending in ``cost``/``cycle(s)``/``latency``/``overhead``
-  forks the single source of truth the calibrated cost model is
-  digest-keyed by -- a constant edited anywhere else would silently
-  invalidate every persisted calibration and prediction.
+  forks the single source of truth the engine, the fast path and the
+  calibrated cost model all read -- a constant edited anywhere else
+  would make the simulator and the closed-form predictor disagree
+  about what an instruction costs.
 
 Suppress a finding with a trailing ``# repro: noqa`` (everything on the
 line) or ``# repro: noqa REP003`` / ``REP003,REP005`` (those rules).
@@ -98,8 +91,6 @@ LINT_RULES: dict[str, str] = {
     "REP009": "unbounded queue construction in the serving runtime",
     "REP010": "hard-coded accumulator width outside core/config.py",
     "REP011": "SharedMemory creation without close()/unlink() cleanup",
-    "REP012": "non-atomic on-disk cache/state write (no os.replace "
-              "publish)",
     "REP013": "hard-coded cycle/latency constant outside the ISA cost "
               "table",
     "REP000": "lint target is not parseable Python",
@@ -120,11 +111,6 @@ LOCK_FACTORY_SUFFIXES = (
     "core/packcache.py",
     "runtime/serving.py",
 )
-
-#: Module path suffixes (POSIX form) whose on-disk writes must publish
-#: atomically (REP012): persistent caches read concurrently by live
-#: serving processes.
-ATOMIC_STATE_SUFFIXES = ("analysis/cost/calibrate.py",)
 
 #: Module path suffixes allowed to spell cycle/latency costs as
 #: integer literals (REP013): the ISA cost table and its config-level
@@ -241,7 +227,7 @@ def _is_weight_tensor_subscript(expr: ast.AST) -> bool:
 
 
 class RepoInvariantVisitor(ast.NodeVisitor):
-    """Single-pass visitor emitting REP001-REP011 diagnostics."""
+    """Single-pass visitor emitting the REP001-REP013 diagnostics."""
 
     def __init__(self, path: str = "") -> None:
         self.path = path
@@ -253,7 +239,6 @@ class RepoInvariantVisitor(ast.NodeVisitor):
         self._core_file = "core" in Path(path).parts if path else False
         self._lock_factory = posix.endswith(LOCK_FACTORY_SUFFIXES)
         self._accmem_home = posix.endswith(ACCMEM_CONFIG_SUFFIXES)
-        self._atomic_state = posix.endswith(ATOMIC_STATE_SUFFIXES)
         self._cycle_cost_home = (posix.endswith(CYCLE_COST_HOME_SUFFIXES)
                                  or "analysis/cost/" in posix)
         self._runtime_file = ("runtime" in Path(path).parts
@@ -441,68 +426,6 @@ class RepoInvariantVisitor(ast.NodeVisitor):
                  "the owning side): a leaked segment survives the "
                  "process in /dev/shm",
         )
-
-    # -- REP012 ------------------------------------------------------
-
-    @staticmethod
-    def _own_scope(fn):
-        """Yield ``fn`` body nodes without descending into nested defs.
-
-        Atomicity is a per-function discipline: a nested helper that
-        writes is its own publisher and is checked on its own visit, so
-        the enclosing function's ``os.replace`` must not bless it (nor
-        its missing one taint the parent twice).
-        """
-        stack = list(fn.body)
-        while stack:
-            node = stack.pop()
-            yield node
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                 ast.ClassDef, ast.Lambda)):
-                continue
-            stack.extend(ast.iter_child_nodes(node))
-
-    @staticmethod
-    def _is_write_open(node: ast.Call) -> bool:
-        """True for ``open(..., "w"/"a"/"x"/"+...")`` with a literal mode."""
-        mode: ast.AST | None = node.args[1] if len(node.args) > 1 else None
-        if mode is None:
-            for kw in node.keywords:
-                if kw.arg == "mode":
-                    mode = kw.value
-        return (isinstance(mode, ast.Constant)
-                and isinstance(mode.value, str)
-                and any(ch in mode.value for ch in "wax+"))
-
-    def _check_atomic_writes(self, fn) -> None:
-        """Flag write-mode file opens in a function with no os.replace."""
-        writes: list[tuple[ast.Call, str]] = []
-        publishes = False
-        for sub in self._own_scope(fn):
-            if not isinstance(sub, ast.Call):
-                continue
-            name = _dotted(sub.func)
-            tail = name.rsplit(".", 1)[-1]
-            if name in ("os.replace", "os.rename") or (
-                    isinstance(sub.func, ast.Name)
-                    and name in ("replace", "rename")):
-                publishes = True
-            elif tail == "open" and self._is_write_open(sub):
-                writes.append((sub, "open() for writing"))
-            elif tail in ("write_text", "write_bytes") \
-                    and isinstance(sub.func, ast.Attribute):
-                writes.append((sub, f"{tail}()"))
-        if publishes:
-            return
-        for sub, what in writes:
-            self._emit(
-                "REP012", sub,
-                f"{what} in {fn.name}() never publishes via os.replace",
-                hint="persistent cache/state files must be written to a "
-                     "temporary file in the same directory and renamed "
-                     "with os.replace: concurrent readers must see the "
-                     "old entry or the new one, never a torn file",
-            )
 
     # -- REP010 ------------------------------------------------------
 
@@ -735,8 +658,6 @@ class RepoInvariantVisitor(ast.NodeVisitor):
         self._float_ok.append(self._returns_float(node))
         if self._cost_model:
             self._check_cost_model_docstring(node)
-        if self._atomic_state and not self._test_file:
-            self._check_atomic_writes(node)
         if self._rep010_active:
             self._check_accmem_defaults(node)
         if self._rep013_active:
@@ -910,7 +831,6 @@ def lint_paths(targets) -> DiagnosticReport:
 
 
 __all__ = [
-    "ATOMIC_STATE_SUFFIXES",
     "CYCLE_COST_HOME_SUFFIXES",
     "KERNEL_MODULE_SUFFIXES",
     "COST_MODEL_SUFFIXES",

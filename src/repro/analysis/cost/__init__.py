@@ -16,9 +16,10 @@ Three cooperating modules:
   exactly.
 * :mod:`.calibrate` -- the small set of calibrated overhead
   coefficients (pipeline fill/drain intercept, stall-counter split)
-  fitted once per cost-table content digest against instrumented
-  event-engine probes, persisted in an atomic content-keyed on-disk
-  cache (temp file + ``os.replace``, lint rule REP012).
+  fitted once per cost-table content digest and tile signature per
+  process against instrumented event-engine probes
+  (:func:`repro.core.fastpath.tile_timing`) and kept in an in-process
+  memo.
 * :mod:`.checker` -- ``repro check --cost``: COST-MODEL-DRIFT,
   COST-BLOCKING-INEFFICIENT and COST-IMBALANCE diagnostics over a
   deployment graph, rendered through the shared text/JSON/SARIF
@@ -26,19 +27,16 @@ Three cooperating modules:
 
 :func:`predict_gemm` / :func:`predict_graph_cycles` are the O(1) APIs
 the DSE sweeps and the ``repro run --compiled`` per-layer stats
-consume.
+consume.  The fast path itself never imports this package: it times
+tiles on the engine only, and this model is checked against that.
 """
 
 from __future__ import annotations
 
 from .calibrate import (
-    COST_CACHE_ENV,
-    COST_SCHEMA_VERSION,
-    CostCache,
     TileCalibration,
     calibrate_tile,
     cost_table_digest,
-    exact_tile_timing,
     get_tile_calibration,
     tile_signature,
 )
@@ -53,11 +51,8 @@ from .model import (
 )
 
 __all__ = [
-    "COST_CACHE_ENV",
     "COST_RULES",
-    "COST_SCHEMA_VERSION",
     "CostBreakdown",
-    "CostCache",
     "LayerCost",
     "PlanCost",
     "TileCalibration",
@@ -65,7 +60,6 @@ __all__ = [
     "check_cost",
     "check_cost_file",
     "cost_table_digest",
-    "exact_tile_timing",
     "get_tile_calibration",
     "predict_gemm",
     "predict_graph_cycles",

@@ -130,8 +130,9 @@ def check_cost(graph, *,
                     f"from the ISA cost table"
                 ),
                 hint="the cost table (core/isa.py) and the engine "
-                     "disagree; update whichever changed, then clear "
-                     "the cost cache to recalibrate",
+                     "(core/microengine.py) disagree; change whichever "
+                     "is wrong so the closed form reproduces the engine "
+                     "again",
                 node=label, path=path,
             ))
 

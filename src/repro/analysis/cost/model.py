@@ -40,11 +40,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from repro.core.binseg import ceil_div
 from repro.core.config import MixGemmConfig
+from repro.core.fastpath import gemm_tile_counts, kblock_group_counts
 from repro.core.isa import BS_GET_COST, BS_IP_COST, BS_SET_COST, KernelCosts
 from repro.core.microengine import group_cycles
-from repro.core.packing import aligned_kc
 
 
 def tile_stage_cycles(config: MixGemmConfig, costs: KernelCosts) -> int:
@@ -87,10 +86,11 @@ def tile_collect_cycles(config: MixGemmConfig) -> int:
     return blk.mr * blk.nr * BS_GET_COST
 
 
-#: Signature of a per-tile timing oracle: ``f(n_groups)`` returning an
-#: object with the :class:`~repro.core.fastpath.MicroKernelTiming`
-#: fields.  :mod:`.calibrate` provides the calibrated one;
-#: ``repro.core.fastpath._tile_timing_engine`` is the reference.
+#: Signature of a per-tile timing function: ``f(n_groups)`` returning
+#: an object with the :class:`~repro.core.fastpath.MicroKernelTiming`
+#: fields.  :mod:`.calibrate` provides the calibrated closed form; the
+#: engine run :func:`repro.core.fastpath.tile_timing` (bound to a
+#: config and costs) is the ground truth it is fitted against.
 TileFn = Callable[[int], object]
 
 
@@ -169,44 +169,21 @@ class CostBreakdown:
         }
 
 
-def gemm_tile_counts(config: MixGemmConfig, m: int,
-                     n: int) -> tuple[int, int]:
-    """(row_tiles, col_tiles) of the blocked loop nest for one GEMM."""
-    blk = config.blocking
-    row_tiles = sum(ceil_div(min(blk.mc, m - ic), blk.mr)
-                    for ic in range(0, m, blk.mc))
-    col_tiles = sum(ceil_div(min(blk.nc, n - jc), blk.nr)
-                    for jc in range(0, n, blk.nc))
-    return row_tiles, col_tiles
-
-
-def kblock_group_counts(config: MixGemmConfig, k: int) -> list[int]:
-    """Per-kc-block tile group counts, in execution order.
-
-    At most two distinct values appear (full blocks plus one tail), so
-    downstream assembly is O(1) in K after this split.
-    """
-    lay = config.layout
-    blk = config.blocking
-    kc_eff = aligned_kc(blk.kc * lay.elems_a, lay.group_elements)
-    return [ceil_div(min(kc_eff, k - pc), lay.group_elements)
-            for pc in range(0, k, kc_eff)]
-
-
 def predict_gemm(config: MixGemmConfig, costs: Optional[KernelCosts],
                  m: int, n: int, k: int, *,
                  tile_fn: Optional[TileFn] = None) -> CostBreakdown:
     """Predict one GEMM's cycles/counters without touching the engine.
 
     Mirrors the blocked assembly of
-    :func:`~repro.core.fastpath.fastpath_timing` -- one ``bs.set``, then
-    per kc-block ``tiles * tile(g)`` plus the ``m * n`` C-update
-    epilogue -- but sources the per-tile timing from the calibrated
-    closed form instead of an engine run.  ``tile_fn`` overrides the
-    tile oracle (the differential tests inject the engine reference to
-    bound the model error); by default the calibrated predictor from
-    :mod:`.calibrate` is used, which probes the engine at most once per
-    tile signature and cost-table digest, then never again.
+    :func:`~repro.core.fastpath.fastpath_timing` over the same loop
+    geometry -- one ``bs.set``, then per kc-block ``tiles * tile(g)``
+    plus the ``m * n`` C-update epilogue -- but sources the per-tile
+    timing from the calibrated closed form instead of an engine run.
+    ``tile_fn`` overrides the per-tile timing (the differential tests
+    inject the engine reference to bound the model error); by default
+    the calibrated predictor from :mod:`.calibrate` is used, which
+    probes the engine at most once per tile signature and cost-table
+    digest per process.
     """
     if costs is None:
         costs = KernelCosts()

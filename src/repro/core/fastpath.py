@@ -31,20 +31,19 @@ logic only looks at counts and arrival times, never word values) and
 translation invariant (each micro-kernel starts with the CPU at or past
 the engine, empty queues, and all buffer releases in the past, because
 the collection loop drains the engine).  One micro-kernel execution is
-therefore a pure function of ``(config, costs, n_groups)`` -- so the
-per-tile oracle can be seeded once per distinct signature and the
-whole-GEMM totals assembled arithmetically.  Two seeding strategies
-exist: the *reference* runs the real engine once on zero panels
-(:func:`_tile_timing_engine`); when the calibrated closed-form model
-(:mod:`repro.analysis.cost`) has verified itself exact for the
-signature, :func:`_tile_timing` substitutes its prediction and the
-engine never runs at all (set :data:`COST_ORACLE` to ``False`` to pin
-the reference).  The C-update cycles are added analytically: with
-``mc % mr == 0`` and ``nc % nr == 0`` the in-range cells of each
-kc-block sum to exactly ``m * n``.
+therefore a pure function of ``(config, costs, n_groups)``, so
+:func:`tile_timing` runs the real engine once on zero panels per
+distinct signature and the whole-GEMM totals are assembled
+arithmetically over the blocked loop geometry
+(:func:`gemm_tile_counts`, :func:`kblock_group_counts`).  The
+calibrated closed-form model in :mod:`repro.analysis.cost` fits itself
+against the same :func:`tile_timing` runs but never feeds the fast
+path: the engine is its only timing source.  The C-update cycles are
+added analytically: with ``mc % mr == 0`` and ``nc % nr == 0`` the
+in-range cells of each kc-block sum to exactly ``m * n``.
 
-The oracle *is* the production micro-kernel, so cycles, PMU counters
-and instruction counts match the event backend exactly -- the
+The timing source *is* the production micro-kernel, so cycles, PMU
+counters and instruction counts match the event backend exactly -- the
 differential suite in ``tests/core/test_fastpath.py`` asserts equality,
 not approximation.  Configurations the model cannot reproduce (register
 blockings that overlap cache blocks, >64-bit AccMems near int64
@@ -154,42 +153,14 @@ class FastPathTiming:
         )
 
 
-#: Whether :func:`_tile_timing` may substitute the calibrated
-#: closed-form predictor for the engine run.  Only calibrations that
-#: verified themselves *exact* against holdout probes are substituted,
-#: so flipping this flag never changes a cycle count -- tests pin it to
-#: ``False`` (and clear the lru_caches) to force the reference.
-COST_ORACLE = True
-
-
 @functools.lru_cache(maxsize=None)
-def _tile_timing(config: MixGemmConfig, costs: "KernelCosts",
-                 n_groups: int) -> MicroKernelTiming:
-    """Per-tile timing oracle: calibrated closed form, engine fallback.
-
-    Consults :func:`repro.analysis.cost.calibrate.exact_tile_timing`,
-    which returns a prediction only when the persisted calibration for
-    this (signature, cost-table digest) proved exact on holdout group
-    counts; anything else -- model inexact, calibration layer broken --
-    falls back to :func:`_tile_timing_engine`, the instrumented engine
-    run that is also calibration's ground truth.
-    """
-    if COST_ORACLE:
-        try:
-            from repro.analysis.cost.calibrate import exact_tile_timing
-        except ImportError:
-            timing = None
-        else:
-            timing = exact_tile_timing(config, costs, n_groups)
-        if timing is not None:
-            return timing
-    return _tile_timing_engine(config, costs, n_groups)
-
-
-@functools.lru_cache(maxsize=None)
-def _tile_timing_engine(config: MixGemmConfig, costs: "KernelCosts",
-                        n_groups: int) -> MicroKernelTiming:
+def tile_timing(config: MixGemmConfig, costs: "KernelCosts",
+                n_groups: int) -> MicroKernelTiming:
     """Run the real micro-kernel once on zero panels and record deltas.
+
+    The one per-tile timing source: :func:`fastpath_timing` assembles
+    whole GEMMs from it and cost-model calibration
+    (:func:`repro.analysis.cost.calibrate.calibrate_tile`) probes it.
 
     ``n_groups`` is the per-tile group count of one kc-block; the engine
     always schedules *full* groups (tail groups keep the full DSU walk),
@@ -278,33 +249,49 @@ def fastpath_applicable(config: MixGemmConfig, k: int) -> str | None:
     return None
 
 
+def gemm_tile_counts(config: MixGemmConfig, m: int,
+                     n: int) -> tuple[int, int]:
+    """(row_tiles, col_tiles) of the blocked loop nest for one GEMM."""
+    blk = config.blocking
+    row_tiles = sum(ceil_div(min(blk.mc, m - ic), blk.mr)
+                    for ic in range(0, m, blk.mc))
+    col_tiles = sum(ceil_div(min(blk.nc, n - jc), blk.nr)
+                    for jc in range(0, n, blk.nc))
+    return row_tiles, col_tiles
+
+
+def kblock_group_counts(config: MixGemmConfig, k: int) -> list[int]:
+    """Per-kc-block tile group counts, in execution order.
+
+    At most two distinct values appear (full blocks plus one tail), so
+    downstream assembly is O(1) in K after this split.
+    """
+    lay = config.layout
+    kc_eff = aligned_kc(config.blocking.kc * lay.elems_a,
+                        lay.group_elements)
+    return [ceil_div(min(kc_eff, k - pc), lay.group_elements)
+            for pc in range(0, k, kc_eff)]
+
+
 @functools.lru_cache(maxsize=None)
 def fastpath_timing(config: MixGemmConfig, costs: "KernelCosts", m: int,
                     n: int, k: int) -> FastPathTiming:
     """Analytic timing of one fast-path GEMM, memoized by shape.
 
     Cycles on the fast path are a pure function of ``(config, costs, m,
-    n, k)`` -- the per-tile oracle is data independent and the blocked
-    loop structure depends only on the shape -- so a compiled plan can
+    n, k)`` -- :func:`tile_timing` is data independent and the blocked
+    loop geometry depends only on the shape -- so a compiled plan can
     look the whole-GEMM timing up once and reuse it on every call.
     Caller must have cleared :func:`fastpath_applicable` first.
     """
-    blk = config.blocking
-    lay = config.layout
-    kc_eff = aligned_kc(blk.kc * lay.elems_a, lay.group_elements)
-    oracle_config = replace(config, backend="event")
-    row_tiles = sum(ceil_div(min(blk.mc, m - ic), blk.mr)
-                    for ic in range(0, m, blk.mc))
-    col_tiles = sum(ceil_div(min(blk.nc, n - jc), blk.nr)
-                    for jc in range(0, n, blk.nc))
+    tile_config = replace(config, backend="event")
+    row_tiles, col_tiles = gemm_tile_counts(config, m, n)
     tiles_per_kblock = row_tiles * col_tiles
 
     cycles = BS_SET_COST  # the single bs.set
     stalls_full = stalls_get = busy = groups = macs = ips = gets = 0
-    for pc in range(0, k, kc_eff):
-        kc_blk = min(kc_eff, k - pc)
-        n_groups = ceil_div(kc_blk, lay.group_elements)
-        tile = _tile_timing(oracle_config, costs, n_groups)
+    for n_groups in kblock_group_counts(config, k):
+        tile = tile_timing(tile_config, costs, n_groups)
         cycles += (tiles_per_kblock * tile.cpu_cycles
                    + m * n * costs.c_update_cost)
         stalls_full += tiles_per_kblock * tile.buffer_full_stall_cycles

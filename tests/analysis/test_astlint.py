@@ -520,119 +520,6 @@ class TestRep011SharedMemoryCleanup:
         assert rules(src, path=RUNTIME_PATH) == []
 
 
-COST_CACHE_PATH = "src/repro/analysis/cost/calibrate.py"
-
-
-class TestRep012AtomicWrites:
-    def test_plain_write_flagged(self):
-        src = """
-        import json
-
-        def save(path, payload):
-            with open(path, "w") as fh:
-                json.dump(payload, fh)
-        """
-        assert rules(src, path=COST_CACHE_PATH) == ["REP012"]
-
-    def test_temp_plus_replace_passes(self):
-        src = """
-        import json, os
-
-        def save(path, payload):
-            tmp = str(path) + ".tmp"
-            with open(tmp, "w", encoding="utf-8") as fh:
-                json.dump(payload, fh)
-            os.replace(tmp, path)
-        """
-        assert rules(src, path=COST_CACHE_PATH) == []
-
-    def test_read_mode_open_ignored(self):
-        src = """
-        import json
-
-        def load(path):
-            with open(path, encoding="utf-8") as fh:
-                return json.load(fh)
-        """
-        assert rules(src, path=COST_CACHE_PATH) == []
-
-    def test_append_and_exclusive_modes_flagged(self):
-        src = """
-        def log(path):
-            open(path, "a").write("x")
-
-        def create(path):
-            open(path, "x").write("y")
-        """
-        assert rules(src, path=COST_CACHE_PATH) == [
-            "REP012", "REP012"]
-
-    def test_write_text_flagged(self):
-        src = """
-        def save(path, text):
-            path.write_text(text)
-        """
-        assert rules(src, path=COST_CACHE_PATH) == ["REP012"]
-
-    def test_keyword_mode_flagged(self):
-        src = """
-        def save(path):
-            with open(path, mode="wb") as fh:
-                fh.write(b"x")
-        """
-        assert rules(src, path=COST_CACHE_PATH) == ["REP012"]
-
-    def test_nested_writer_not_blessed_by_outer_replace(self):
-        # The inner function is its own publication unit: the outer
-        # os.replace cannot vouch for a write it never sees.
-        src = """
-        import os
-
-        def outer(path):
-            def inner(p):
-                with open(p, "w") as fh:
-                    fh.write("x")
-            inner(path)
-            os.replace(path, path)
-        """
-        assert rules(src, path=COST_CACHE_PATH) == ["REP012"]
-
-    def test_rule_scoped_to_cost_cache(self):
-        src = """
-        def save(path):
-            open(path, "w").write("x")
-        """
-        assert rules(src, path="src/repro/runtime/plan.py") == []
-
-    def test_tests_exempt(self):
-        src = """
-        def save(path):
-            open(path, "w").write("x")
-        """
-        assert rules(src, path="tests/analysis/test_cost_cache.py") == []
-
-    def test_hint_mentions_torn_file(self):
-        diags = lint_source(
-            textwrap.dedent("""
-            def save(path):
-                open(path, "w").write("x")
-            """), COST_CACHE_PATH)
-        assert "torn" in diags[0].hint
-
-    def test_suppressed(self):
-        src = """
-        def save(path):
-            open(path, "w").write("x")  # repro: noqa REP012
-        """
-        assert rules(src, path=COST_CACHE_PATH) == []
-
-    def test_real_cache_module_is_clean(self):
-        real = (Path(__file__).resolve().parents[2]
-                / "src" / "repro" / "analysis" / "cost" / "calibrate.py")
-        assert [d.rule for d in lint_paths([str(real)])
-                .diagnostics] == []
-
-
 class TestRep013CycleCostLiterals:
     def test_assignment_literal_flagged(self):
         assert rules("dispatch_latency = 7\n") == ["REP013"]

@@ -230,68 +230,13 @@ class TestRep011Fixture:
         assert main(["check", "--lint", str(fixture)]) == 0
 
 
-class TestRep012Fixture:
-    """The seeded non-atomic cache writer fires in every format."""
-
-    @pytest.fixture()
-    def torn_cache_file(self, tmp_path):
-        fixture = (Path(__file__).parent / "lint_fixtures"
-                   / "seeded_nonatomic_cache.py")
-        cost_dir = tmp_path / "analysis" / "cost"
-        cost_dir.mkdir(parents=True)
-        target = cost_dir / "calibrate.py"
-        target.write_text(fixture.read_text())
-        return str(target)
-
-    def test_text_format(self, torn_cache_file, capsys):
-        assert main(["check", "--lint", torn_cache_file]) == 1
-        out = capsys.readouterr().out
-        assert "REP012" in out
-        assert "os.replace" in out
-
-    def test_json_format(self, torn_cache_file, capsys):
-        assert main(["check", "--lint", torn_cache_file,
-                     "--format", "json"]) == 1
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["counts"]["error"] == 1
-        diag = payload["diagnostics"][0]
-        assert diag["rule"] == "REP012"
-        assert diag["path"] == torn_cache_file
-
-    def test_sarif_format(self, torn_cache_file, tmp_path):
-        out_file = tmp_path / "report.sarif"
-        assert main(["check", "--lint", torn_cache_file,
-                     "--format", "sarif",
-                     "--output", str(out_file)]) == 1
-        run = json.loads(out_file.read_text())["runs"][0]
-        assert any(r["ruleId"] == "REP012" and r["level"] == "error"
-                   for r in run["results"])
-        rule_ids = {r["id"] for r in
-                    run["tool"]["driver"]["rules"]}
-        assert "REP012" in rule_ids
-
-    def test_fixture_in_place_is_exempt(self):
-        """Under tests/ the fixture itself must not fail the lint."""
-        fixture = (Path(__file__).parent / "lint_fixtures"
-                   / "seeded_nonatomic_cache.py")
-        assert main(["check", "--lint", str(fixture)]) == 0
-
-    def test_shipped_cost_cache_is_clean(self):
-        cache_mod = (Path(__file__).resolve().parents[2]
-                     / "src" / "repro" / "analysis" / "cost"
-                     / "calibrate.py")
-        assert main(["check", "--lint", str(cache_mod)]) == 0
-
-
 class TestCostPass:
     """``--cost``: standalone, combined, all three formats, --fail-on."""
 
     @pytest.fixture(autouse=True)
-    def _isolated_cost_cache(self, tmp_path, monkeypatch):
-        from repro.analysis.cost import COST_CACHE_ENV
+    def _fresh_calibration_memo(self):
         from repro.analysis.cost.calibrate import clear_calibration_memo
 
-        monkeypatch.setenv(COST_CACHE_ENV, str(tmp_path / "costcache"))
         clear_calibration_memo()
         yield
         clear_calibration_memo()

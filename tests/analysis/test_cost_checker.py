@@ -3,15 +3,14 @@
 import numpy as np
 import pytest
 
-from repro.analysis.cost import COST_CACHE_ENV, check_cost, check_cost_file
+from repro.analysis.cost import check_cost, check_cost_file
 from repro.analysis.cost.calibrate import clear_calibration_memo
 from repro.core.config import BlockingParams
 from repro.runtime.graph import GraphModel, NodeSpec
 
 
 @pytest.fixture(autouse=True)
-def _isolated_cost_cache(tmp_path, monkeypatch):
-    monkeypatch.setenv(COST_CACHE_ENV, str(tmp_path / "cost"))
+def _fresh_calibration_memo():
     clear_calibration_memo()
     yield
     clear_calibration_memo()
@@ -91,10 +90,9 @@ class TestDrift:
 
         real = checker_mod.get_tile_calibration
 
-        def inexact(config, costs=None, cache=None):
+        def inexact(config, costs=None):
             import dataclasses
-            return dataclasses.replace(real(config, costs, cache),
-                                       exact=False)
+            return dataclasses.replace(real(config, costs), exact=False)
 
         monkeypatch.setattr(checker_mod, "get_tile_calibration", inexact)
         graph = GraphModel(nodes=[_linear_graph().nodes[0],
@@ -105,7 +103,8 @@ class TestDrift:
                  if d.rule == "COST-MODEL-DRIFT"]
         assert len(drift) == 1
         assert drift[0].severity == "error"
-        assert "cost cache" in drift[0].hint
+        assert "core/isa.py" in drift[0].hint
+        assert "cache" not in drift[0].hint
 
 
 class TestFileEntry:

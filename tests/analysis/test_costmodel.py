@@ -14,8 +14,6 @@ import numpy as np
 import pytest
 
 from repro.analysis.cost import (
-    COST_CACHE_ENV,
-    CostCache,
     get_tile_calibration,
     predict_gemm,
     predict_graph_cycles,
@@ -27,14 +25,13 @@ from repro.analysis.cost.calibrate import (
     clear_calibration_memo,
 )
 from repro.core.config import BlockingParams, MixGemmConfig
-from repro.core.fastpath import _tile_timing_engine
+from repro.core.fastpath import tile_timing
 from repro.core.gemm import KernelCosts, MixGemm
 
 
 @pytest.fixture(autouse=True)
-def _isolated_cost_cache(tmp_path, monkeypatch):
-    """Point the calibration cache at a throwaway directory."""
-    monkeypatch.setenv(COST_CACHE_ENV, str(tmp_path / "cost"))
+def _fresh_calibration_memo():
+    """Start and end every test with an empty calibration memo."""
     clear_calibration_memo()
     yield
     clear_calibration_memo()
@@ -68,7 +65,7 @@ class TestCalibration:
         probed = set(PROBE_GROUPS) | set(HOLDOUT_GROUPS)
         for g in sorted(probed | {7, 20, 50}):
             assert calibration.timing(g) == \
-                _tile_timing_engine(
+                tile_timing(
                     dataclasses.replace(config, backend="event"),
                     costs, g), f"g={g}"
 
@@ -117,11 +114,32 @@ class TestPredictGemm:
         config = _cfg(8, 4)
         get_tile_calibration(config)  # warm: the only engine touch
         monkeypatch.setattr(
-            calibrate_mod, "_tile_timing_engine",
+            calibrate_mod, "tile_timing",
             lambda *a, **k: pytest.fail(
                 "prediction path executed the event engine"))
         bd = predict_gemm(config, None, 32, 16, 256)
         assert bd.cycles > 0
+
+    def test_one_calibration_per_signature_per_process(self,
+                                                       monkeypatch):
+        calls = []
+        real = calibrate_mod.calibrate_tile
+
+        def counting(config, costs=None):
+            calls.append(config.name)
+            return real(config, costs)
+
+        monkeypatch.setattr(calibrate_mod, "calibrate_tile", counting)
+        # kc is outside the tile signature: both share one calibration.
+        for kc in (8, 64, 256):
+            predict_gemm(_cfg(8, 4, kc=kc), None, 16, 16, 96)
+            get_tile_calibration(_cfg(8, 4, kc=kc))
+        assert len(calls) == 1
+        predict_gemm(_cfg(6, 4), None, 16, 16, 96)
+        assert len(calls) == 2
+        clear_calibration_memo()
+        get_tile_calibration(_cfg(8, 4))
+        assert len(calls) == 3
 
     @pytest.mark.slow
     def test_full_bitwidth_blocking_sweep_within_bounds(self):
@@ -178,9 +196,3 @@ class TestPredictGraphCycles:
         assert cost.total_cycles == sum(lc.cycles for lc in cost.layers)
         for layer in cost.layers:
             assert layer.breakdown.phase_identity_holds()
-
-    def test_explicit_cache_instance_is_honoured(self, tmp_path):
-        cache = CostCache(tmp_path / "elsewhere")
-        calibration = get_tile_calibration(_cfg(4, 4), cache=cache)
-        assert calibration.exact
-        assert list((tmp_path / "elsewhere").glob("*.json"))

@@ -423,129 +423,35 @@ class TestBlockingOverrideEquivalence:
         assert not np.array_equal(small, big)
 
 
-class TestCostOracleToggle:
-    """Satellite of the cost-model PR: ``COST_ORACLE`` substitutes the
-    calibrated closed form for the per-tile engine run, and flipping it
-    must never change a cycle -- including the cumulative folding an
-    executor does across repeated ``gemm()`` calls."""
+class TestTimingSource:
+    """The fast path times tiles on the event engine and nothing else."""
 
-    @pytest.fixture(autouse=True)
-    def _isolated_cost_cache(self, tmp_path, monkeypatch):
-        from repro.analysis.cost import COST_CACHE_ENV
-        from repro.analysis.cost.calibrate import clear_calibration_memo
+    def test_fast_gemm_loads_no_analysis_code(self):
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
 
-        monkeypatch.setenv(COST_CACHE_ENV, str(tmp_path / "cost"))
-        clear_calibration_memo()
-        self._clear_caches()
-        yield
-        clear_calibration_memo()
-        self._clear_caches()
+        import repro
 
-    @staticmethod
-    def _clear_caches():
-        from repro.core import fastpath
-
-        for fn in (fastpath._tile_timing, fastpath._tile_timing_engine,
-                   fastpath.fastpath_timing):
-            clear = getattr(fn, "cache_clear", None)
-            if clear is not None:  # a test may have patched fn out
-                clear()
-
-    def _with_oracle(self, monkeypatch, enabled, fn):
-        from repro.core import fastpath
-
-        monkeypatch.setattr(fastpath, "COST_ORACLE", enabled)
-        self._clear_caches()
-        try:
-            return fn()
-        finally:
-            monkeypatch.undo()
-            self._clear_caches()
-
-    @pytest.mark.parametrize("bw_a,bw_b", [(8, 8), (6, 4)])
-    def test_oracle_on_off_identical_results(self, monkeypatch,
-                                             bw_a, bw_b):
-        config = make_config(bw_a, bw_b)
-        a, b = random_operands(config, 5, 12, 6, seed=11)
-
-        def run():
-            return run_fastpath(config, KernelCosts(), a, b)
-
-        on = self._with_oracle(monkeypatch, True, run)
-        off = self._with_oracle(monkeypatch, False, run)
-        np.testing.assert_array_equal(on.c, off.c)
-        assert on.cycles == off.cycles
-        assert on.pmu == off.pmu
-        assert on.instructions == off.instructions
-
-    def test_oracle_on_off_identical_fastpath_timing(self, monkeypatch):
-        from repro.core.fastpath import fastpath_timing
-
-        config = make_config(6, 4)
-        shapes = [(5, 6, 12), (8, 8, 64), (1, 3, 11)]
-
-        def time_all():
-            return [fastpath_timing(config, KernelCosts(), m, n, k)
-                    for m, n, k in shapes]
-
-        on = self._with_oracle(monkeypatch, True, time_all)
-        off = self._with_oracle(monkeypatch, False, time_all)
-        assert on == off
-
-    def test_cumulative_folding_identical_across_calls(self, monkeypatch):
-        # The executor clock never resets between gemm() calls; the
-        # oracle-substituted timing must fold into the same cumulative
-        # state as the engine-seeded one, call after call.
-        config = make_config()
-        a1, b1 = random_operands(config, 5, 12, 6, seed=1)
-        a2, b2 = random_operands(config, 7, 8, 5, seed=2)
-
-        def run_sequence():
-            executor = MixGemm(config, emulate_datapath=False,
-                               backend=FAST)
-            first = executor.gemm(a1, b1)
-            second = executor.gemm(a2, b2)
-            return (first.cycles, second.cycles,
-                    second.pmu.cycles_total)
-
-        on = self._with_oracle(monkeypatch, True, run_sequence)
-        off = self._with_oracle(monkeypatch, False, run_sequence)
-        assert on == off
-        assert on[2] > on[0]  # folding really is cumulative
-
-    def test_warm_oracle_never_runs_the_engine(self, monkeypatch):
-        from repro.analysis.cost import get_tile_calibration
-        from repro.core import fastpath
-
-        config = make_config(8, 4)
-        oracle = fastpath.replace(config, backend="event")
-        get_tile_calibration(oracle)  # warm: the only engine touches
-        self._clear_caches()
-        monkeypatch.setattr(
-            fastpath, "_tile_timing_engine",
-            lambda *args, **kw: pytest.fail(
-                "fast path ran the engine despite a warm calibration"))
-        a, b = random_operands(config, 5, 12, 6, seed=7)
-        result = run_fastpath(config, KernelCosts(), a, b)
-        assert result.cycles > 0
-
-    def test_inexact_calibration_falls_back_to_engine(self, monkeypatch):
-        # exact_tile_timing returning None (model refused to vouch for
-        # this config) must transparently route to the engine oracle.
-        import repro.analysis.cost.calibrate as calibrate_mod
-
-        config = make_config(6, 4)
-        a, b = random_operands(config, 5, 12, 6, seed=13)
-
-        def run():
-            return run_fastpath(config, KernelCosts(), a, b)
-
-        reference = self._with_oracle(monkeypatch, False, run)
-        monkeypatch.setattr(calibrate_mod, "exact_tile_timing",
-                            lambda *args, **kw: None)
-        self._clear_caches()
-        fallback = run()
-        self._clear_caches()
-        np.testing.assert_array_equal(fallback.c, reference.c)
-        assert fallback.cycles == reference.cycles
-        assert fallback.pmu == reference.pmu
+        probe = (
+            "import sys\n"
+            "import numpy as np\n"
+            "from repro.core.config import MixGemmConfig\n"
+            "from repro.core.gemm import MixGemm\n"
+            "cfg = MixGemmConfig(bw_a=6, bw_b=4)\n"
+            "a = np.ones((5, 40), dtype=np.int64)\n"
+            "b = np.ones((40, 7), dtype=np.int64)\n"
+            "result = MixGemm(cfg, backend='fast').gemm(a, b)\n"
+            "assert result.backend == 'fast' and result.cycles > 0\n"
+            "print(sorted(m for m in sys.modules\n"
+            "             if m.startswith('repro.analysis')))\n"
+        )
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
+        done = subprocess.run([sys.executable, "-c", probe], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"
