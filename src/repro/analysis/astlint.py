@@ -1,11 +1,11 @@
 """Repo-invariant linter: ``ast``-level rules the reproduction lives by.
 
-Twelve rules, numbered flake8-style (REP012 is retired); each encodes
-an invariant the codebase promises elsewhere (error hierarchy in
-``core/errors.py``, determinism in the test harness, integer-exactness
-of the kernel modules, honest error handling, unit-annotated cost
-models, GEMM execution routed through the backend dispatch, weight
-quantization hoisted out of the per-call hot path):
+Eleven rules, numbered flake8-style (REP007 and REP012 are retired);
+each encodes an invariant the codebase promises elsewhere (error
+hierarchy in ``core/errors.py``, determinism in the test harness,
+integer-exactness of the kernel modules, honest error handling,
+unit-annotated cost models, GEMM execution routed through the backend
+dispatch):
 
 * **REP001** -- every exception class derives from ``ReproError``;
 * **REP002** -- no unseeded global RNG (``np.random.rand`` and friends,
@@ -21,11 +21,6 @@ quantization hoisted out of the per-call hot path):
   ``core/``: everything else must go through ``MixGemm``/``mix_gemm``
   so the backend dispatch (``core/backend.py``) can route the call to
   the vectorized fast path or the event engine as fidelity demands;
-* **REP007** -- no ``quantize()`` of a node's weight tensor inside an
-  ``InferenceEngine`` per-call op handler (``_op_*``): weight
-  quantization belongs in a dedicated helper (or the compiled plan)
-  so compilation can hoist it; re-quantizing static weights on every
-  call is exactly the overhead ``runtime/plan.py`` exists to remove;
 * **REP008** -- no bare ``threading.Lock()``/``threading.RLock()``
   construction outside the lock factory (``core/locks.py``), the
   sanitizer (``analysis/concurrency/sanitizer.py``) and the
@@ -86,7 +81,6 @@ LINT_RULES: dict[str, str] = {
     "REP004": "bare except or silently swallowed Exception",
     "REP005": "cost-model function docstring does not state its units",
     "REP006": "direct MicroEngine.push_pair call outside core/",
-    "REP007": "weight quantize() inside an engine per-call op handler",
     "REP008": "bare threading.Lock()/RLock() outside the lock factory",
     "REP009": "unbounded queue construction in the serving runtime",
     "REP010": "hard-coded accumulator width outside core/config.py",
@@ -217,15 +211,6 @@ def is_test_path(path: str) -> bool:
     return p.name.startswith("test_") or p.name == "conftest.py"
 
 
-def _is_weight_tensor_subscript(expr: ast.AST) -> bool:
-    """True for ``<anything>.tensors["weight"]``."""
-    return (isinstance(expr, ast.Subscript)
-            and isinstance(expr.value, ast.Attribute)
-            and expr.value.attr == "tensors"
-            and isinstance(expr.slice, ast.Constant)
-            and expr.slice.value == "weight")
-
-
 class RepoInvariantVisitor(ast.NodeVisitor):
     """Single-pass visitor emitting the REP001-REP013 diagnostics."""
 
@@ -250,8 +235,6 @@ class RepoInvariantVisitor(ast.NodeVisitor):
         self._queue_aliases: dict[str, str] = {}
         #: Stack of ``returns -> float`` flags for enclosing functions.
         self._float_ok: list[bool] = []
-        #: Stack of enclosing class names (REP007 scoping).
-        self._class_stack: list[str] = []
         #: ``id()`` of SharedMemory Call nodes proven cleanup-paired
         #: (REP011): inside a ``with`` item or a ``try`` whose
         #: ``finally`` closes/unlinks.  Parents are visited before
@@ -295,9 +278,7 @@ class RepoInvariantVisitor(ast.NodeVisitor):
                 hint="add ReproError as a base (keep the stdlib base "
                      "for backwards-compatible except clauses)",
             )
-        self._class_stack.append(node.name)
         self.generic_visit(node)
-        self._class_stack.pop()
 
     # -- REP008 ------------------------------------------------------
 
@@ -662,10 +643,6 @@ class RepoInvariantVisitor(ast.NodeVisitor):
             self._check_accmem_defaults(node)
         if self._rep013_active:
             self._check_cycle_cost_defaults(node)
-        if (self._class_stack
-                and self._class_stack[-1] == "InferenceEngine"
-                and node.name.startswith("_op_")):
-            self._check_handler_weight_quantize(node)
         self.generic_visit(node)
         self._float_ok.pop()
 
@@ -697,45 +674,6 @@ class RepoInvariantVisitor(ast.NodeVisitor):
                      "enclosing function '-> float'",
             )
         self.generic_visit(node)
-
-    # -- REP007 ------------------------------------------------------
-
-    def _check_handler_weight_quantize(self, fn) -> None:
-        """Flag ``quantize()`` of weight tensors in an ``_op_*`` body.
-
-        The handler body is rescanned rather than checked during the
-        main walk because the rule needs two passes over the same
-        scope: names bound from ``node.tensors["weight"]`` first, the
-        ``quantize(...)`` call sites second (the assignment always
-        precedes the call textually, but not necessarily in AST visit
-        order once closures are involved).
-        """
-        weight_names: set[str] = set()
-        for sub in ast.walk(fn):
-            if (isinstance(sub, ast.Assign)
-                    and len(sub.targets) == 1
-                    and isinstance(sub.targets[0], ast.Name)
-                    and _is_weight_tensor_subscript(sub.value)):
-                weight_names.add(sub.targets[0].id)
-        for sub in ast.walk(fn):
-            if not isinstance(sub, ast.Call) or not sub.args:
-                continue
-            callee = _dotted(sub.func).rsplit(".", 1)[-1]
-            if callee != "quantize":
-                continue
-            arg = sub.args[0]
-            if _is_weight_tensor_subscript(arg) or (
-                    isinstance(arg, ast.Name)
-                    and arg.id in weight_names):
-                self._emit(
-                    "REP007", sub,
-                    f"per-call weight quantize() inside "
-                    f"InferenceEngine.{fn.name}()",
-                    hint="static weights must be quantized once, not "
-                         "per inference call: route through a helper "
-                         "like _quant_weights() so compiled plans can "
-                         "hoist it",
-                )
 
     # -- REP004 ------------------------------------------------------
 

@@ -1,9 +1,9 @@
 """Structural graph contract: the engine can execute this IR at all.
 
-Statically mirrors every precondition
-:class:`~repro.runtime.engine.InferenceEngine` enforces (or crashes on)
-at run time: unique non-reserved node ids, references only to already
-produced tensors, supported operators with the right arity, channel
+Statically mirrors every precondition a compiled
+:class:`~repro.runtime.plan.GraphPlan` enforces (or crashes on): unique
+non-reserved node ids, references only to already produced tensors,
+supported operators with the right arity, channel
 agreement along every edge that types can prove, and sane quantization
 metadata (bitwidths in the 2-8 band, finite positive scales, weight
 tensors present and finite).

@@ -26,7 +26,7 @@ Three cooperating modules:
   machinery.
 
 :func:`predict_gemm` / :func:`predict_graph_cycles` are the O(1) APIs
-the DSE sweeps and the ``repro run --compiled`` per-layer stats
+the DSE sweeps and the ``repro run`` per-layer stats
 consume.  The fast path itself never imports this package: it times
 tiles on the engine only, and this model is checked against that.
 """

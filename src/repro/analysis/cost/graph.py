@@ -8,7 +8,7 @@ the spatial extent of a layer's activations (M is batch- and
 geometry-dependent), so callers either accept the documented
 ``assumed_m`` default -- blocking *ranking* is M-invariant in the
 leading term, which is all the checker needs -- or pass per-layer row
-counts (``repro run --compiled`` derives them from the measured
+counts (``repro run`` derives them from the measured
 per-layer MAC counts).
 """
 
@@ -93,13 +93,17 @@ class PlanCost:
 
 
 def iter_plan_gemms(plan) -> Iterator[tuple[str, str, list]]:
-    """``(stats_label, op, bound_gemms)`` per quantized step of a plan."""
+    """``(stats_label, op, bound_gemms)`` per quantized step of a plan.
+
+    Numpy-backend plans have no Mix-GEMM configuration to cost, so they
+    yield nothing.
+    """
     for step in plan.steps:
         gemms = list(getattr(step, "gemms", []))
         single = getattr(step, "gemm", None)
         if single is not None:
             gemms.append(single)
-        if not gemms:
+        if not gemms or gemms[0].config is None:
             continue
         label = getattr(step, "stats_label", step.label)
         yield label, getattr(step, "op", ""), gemms

@@ -4,9 +4,9 @@ Commands mirror the evaluation:
 
 * ``info``            -- library and configuration summary;
 * ``gemm``            -- one simulated GEMM (bit-exact + cycles);
-* ``run``             -- full graph inference on the simulator, with
-  ``--backend {event,fast,auto}`` execution-backend selection and
-  ``--compiled`` to serve from an ahead-of-time compiled plan;
+* ``run``             -- full graph inference on the simulator from an
+  ahead-of-time compiled plan, with ``--backend {event,fast,auto}``
+  execution-backend selection;
 * ``serve``           -- batched multi-worker serving load test over
   compiled inference plans (``--processes`` shards across worker
   processes on a zero-copy shared-memory plan);
@@ -82,17 +82,16 @@ def _cmd_run(args: argparse.Namespace) -> int:
     x = demo_input(batch=args.batch, size=args.size, seed=args.seed)
     engine = InferenceEngine(
         graph, backend="mixgemm", guard_level=args.guard_level,
-        gemm_backend=args.backend, compiled=args.compiled,
+        gemm_backend=args.backend,
     )
-    if args.compiled and args.guard_level == "off":
-        plan = engine.compile()
-        info = plan.info
-        print(f"compiled plan: {info.steps} steps "
-              f"({info.folded_batchnorms} batchnorms folded, "
-              f"{info.fused_activations} activations fused, "
-              f"{info.bound_executors} bound GEMM executors)")
-    elif args.compiled:
-        print("compiled plan: disabled (guards force the per-call path)")
+    plan = engine.plan
+    info = plan.info
+    print(f"compiled plan: {info.steps} steps "
+          f"({info.folded_batchnorms} batchnorms folded, "
+          f"{info.fused_activations} activations fused, "
+          f"{info.bound_executors} bound GEMM executors"
+          + (f"; unfused, guarded at {info.guard_level}"
+             if info.guard_level != "off" else "") + ")")
     result = engine.run(x)
     stats = engine.pack_stats
     print(f"graph: {len(list(graph))} nodes, "
@@ -103,7 +102,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     print(f"cycles: {result.total_cycles}, macs: {result.total_macs}, "
           f"{result.gops():.2f} GOPS @ 1.2 GHz")
     predicted: dict[str, int] = {}
-    if args.compiled and args.guard_level == "off" and result.layer_stats:
+    if args.guard_level == "off" and result.layer_stats:
         from repro.analysis.cost import predict_graph_cycles
         from repro.analysis.cost.graph import iter_plan_gemms
 
@@ -145,10 +144,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if args.requests < 1:
         print("--requests must be at least 1", file=sys.stderr)
         return 2
-    if args.processes and args.uncompiled:
-        print("--processes requires compiled plans (drop --uncompiled)",
-              file=sys.stderr)
-        return 2
     if args.model:
         graph = GraphModel.load(args.model)
     else:
@@ -169,7 +164,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                    queue_capacity=args.queue_capacity,
                    admission=args.admission,
                    admission_timeout_ms=args.admission_timeout_ms,
-                   compiled=not args.uncompiled,
                    backend="mixgemm",
                    gemm_backend=args.backend) as server:
             deadline = args.deadline_ms if args.deadline_ms > 0 else None
@@ -195,9 +189,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     else:
         report = serve_once()
     s = report.stats
-    mode = "compiled plans" if report.compiled else "uncompiled engines"
     print(f"served {s.served}/{s.requests} requests in {s.seconds:.3f}s "
-          f"on {report.workers} workers ({mode}, max batch "
+          f"on {report.workers} workers (compiled plans, max batch "
           f"{report.max_batch})")
     print(f"throughput: {s.throughput_rps:.1f} req/s, "
           f"{s.batches} batches, mean batch {s.mean_batch_size:.2f}")
@@ -491,12 +484,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="GEMM execution backend inside the simulator")
     p.add_argument("--guard-level", default="off",
                    choices=("off", "light", "standard", "full"),
-                   help="integrity-guard level (guards force the event "
-                        "backend per call)")
-    p.add_argument("--compiled", action="store_true",
-                   help="run from an ahead-of-time compiled plan "
-                        "(falls back to the per-call path under guards "
-                        "or fault injection)")
+                   help="integrity-guard level (runs an unfused plan "
+                        "with guarded GEMM steps; standard and full "
+                        "force the event backend per call)")
     p.set_defaults(func=_cmd_run)
 
     p = sub.add_parser(
@@ -529,9 +519,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--backend", default="auto",
                    choices=("event", "fast", "auto"))
-    p.add_argument("--uncompiled", action="store_true",
-                   help="serve from uncompiled engines (baseline for "
-                        "what compilation buys)")
     p.add_argument("--processes", action="store_true",
                    help="shard across worker processes on a zero-copy "
                         "shared-memory plan (falls back to threads "

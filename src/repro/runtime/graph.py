@@ -6,7 +6,8 @@ module is the offline-equivalent: a declarative operator graph with JSON
 serialization.  :func:`export_sequential` converts a trained
 :class:`~repro.nn.layers.Sequential` model (quant layers included --
 weights, bitwidths and learned activation scales travel with the graph);
-the :mod:`repro.runtime.engine` then executes it on a chosen backend.
+:mod:`repro.runtime.plan` compiles it and :mod:`repro.runtime.engine`
+runs the plan on a chosen backend.
 """
 
 from __future__ import annotations
@@ -47,10 +48,12 @@ class GraphError(ReproError, ValueError):
 #: Ops whose attrs carry quantization metadata that must be validated.
 _QUANT_OPS = frozenset({"quant_conv2d", "quant_linear"})
 
-#: Every operator the inference engine implements.  The static graph
-#: contract checker rejects anything outside this set before a run is
-#: ever attempted; keep in sync with the ``_op_*`` methods of
-#: :class:`repro.runtime.engine.InferenceEngine` (asserted by tests).
+#: Every operator the runtime implements.  The static graph contract
+#: checker and :func:`repro.runtime.plan.compile_graph` reject anything
+#: outside this set before a run is ever attempted; keep in sync with
+#: the plan's step builders (``_ConvStep``, ``_QuantLinearStep`` and
+#: ``_GenericStep._build`` in :mod:`repro.runtime.plan`; asserted by
+#: ``tests/runtime/test_plan.py``).
 SUPPORTED_OPS = frozenset({
     "add", "avg_pool2d", "batchnorm2d", "channel_scale", "conv2d",
     "flatten", "global_avg_pool2d", "identity", "linear", "max_pool2d",

@@ -1,11 +1,9 @@
-"""Stateless operator kernels shared by the engine and compiled plans.
+"""Stateless operator kernels baked into compiled plans.
 
-:class:`~repro.runtime.engine.InferenceEngine` executes these per call;
-:mod:`repro.runtime.plan` bakes the same functions into compiled steps.
-Keeping one implementation is what makes the compiled plan bit-exact
-against the uncompiled engine *by construction* -- both paths run the
-identical float operations in the identical order, so there is nothing
-to drift.
+:mod:`repro.runtime.plan` builds every non-GEMM step and fused epilogue
+from these functions, and the range analyzer's plan-equivalence check
+evaluates the same closures on interval endpoints -- one implementation
+per op, so there is nothing to drift.
 
 The activation kernels use numerically stable forms: the textbook
 ``1 / (1 + exp(-x))`` overflows ``exp`` for large-magnitude negative

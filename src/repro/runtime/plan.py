@@ -1,18 +1,11 @@
-"""Ahead-of-time compilation of deployment graphs (the paper's AOT stage).
+"""Compiled deployment graphs: the runtime's one executor.
 
-The uncompiled :class:`~repro.runtime.engine.InferenceEngine` pays graph
-overhead on **every** ``run()`` call: static weights are re-quantized,
-per-channel absmax scales recomputed, conv geometry re-derived, operand
-matrices re-validated and a fresh :class:`~repro.core.gemm.MixGemm`
-executor built per GEMM.  That is the right shape for a debugger and for
-the hardened/fault-injection paths (which must observe the per-call
-pipeline), but it turns steady-state serving into a metadata benchmark.
-The BLIS lineage Mix-GEMM builds on amortizes exactly this work: packing
-and layout decisions happen once per deployment, the hot loop is pure
-arithmetic.
-
-:func:`compile_graph` performs that amortization once and returns a
-:class:`GraphPlan`:
+Every inference in this package runs a :class:`GraphPlan`:
+:class:`~repro.runtime.engine.InferenceEngine.run`, the threaded serving
+workers and the shared-memory worker processes.  The BLIS lineage
+Mix-GEMM builds on (the paper's Fig. 3 deploy stage) packs and lays out
+weights once per deployment and keeps the hot loop pure arithmetic;
+:func:`compile_graph` performs that amortization once:
 
 * static weights are quantized once and their per-channel scales cached;
 * ``batchnorm2d`` nodes whose sole input is a preceding conv become part
@@ -34,15 +27,33 @@ arithmetic.
   buffer and the GEMM result all stay float32 until the epilogue's
   float64 dequantization.
 
+Guarded execution
+-----------------
+When an :class:`~repro.runtime.engine.InferenceEngine` arms guards or a
+fault plan, it compiles an *unfused* plan (``fuse=False``), so every
+node keeps its own step and label for the NaN/Inf fence, the range tap
+and fault events.  Each quantized step then binds a :class:`_GuardedGemm`
+in place of the bound one: per call it announces the layer to the fault
+injector, runs a fresh :class:`~repro.core.gemm.MixGemm` with the pack
+guard and fault hook wired in, checks the shadow reference, retries,
+and finally degrades to the numpy reference, recording every
+:class:`~repro.robustness.recovery.FaultEvent`.  The choice is made when
+the plan is built, so an unguarded plan's steps carry no guard branch.
+Graph-level work -- the static precheck, injected weight corruption and
+the weight vault's verify-and-restore -- stays in the engine, before the
+plan runs.
+
 Bit-exactness is a design invariant, not an aspiration: every float
-operation the plan executes is the *same numpy expression in the same
-order* as the uncompiled engine (shared kernels live in
+operation the plan executes is the numpy expression the quantized
+training forward evaluates (shared kernels live in
 :mod:`repro.runtime.ops`), the GEMM runs the very kernel
 :func:`~repro.core.fastpath.run_fastpath` runs (exact integers in a
 float32 container convert to the identical float64), and the
 BN/activation "fusion" hoists only *constant computation* -- the
 per-element float sequence is untouched.  ``tests/runtime/test_plan.py``
-asserts equality (outputs and per-layer cycles), never closeness.
+asserts equality (outputs and per-layer cycles), never closeness, and
+``tests/runtime/test_interpreter_golden.py`` replays recorded reference
+runs -- outputs, cycles, fault events -- bit for bit.
 
 Plans hold per-call scratch state (lowering buffers, bound executors)
 and are therefore **not** thread-safe; the batched server in
@@ -71,6 +82,7 @@ mapping (lint rule REP011 enforces the pairing under ``runtime/``).
 
 from __future__ import annotations
 
+import warnings
 from collections import Counter
 from dataclasses import dataclass, field
 from multiprocessing import shared_memory
@@ -82,6 +94,7 @@ from repro.core.errors import ReproError
 
 from repro.core.backend import resolve_backend
 from repro.core.config import (
+    BlockingParams,
     DEFAULT_ACCMEM_BITS,
     EXECUTION_BACKENDS,
     MixGemmConfig,
@@ -91,20 +104,104 @@ from repro.core.fastpath import (
     fastpath_applicable,
     fastpath_timing,
 )
-from repro.core.gemm import KernelCosts, MixGemm
+from repro.core.gemm import KernelCosts, MixGemm, reference_gemm
 from repro.core.packcache import PackingCache
 from repro.core.packing import _check_matrix
 from repro.nn.functional_quant import weight_absmax_scale
 from repro.nn.im2col import rows_to_nchw
 from repro.quant.affine import QuantParams, quantize
+from repro.robustness.errors import GuardError, ReliabilityWarning
+from repro.robustness.guards import PackGuard, check_finite, guard_rank
+from repro.robustness.recovery import (
+    FaultEvent,
+    RecoveryPolicy,
+    ShadowVerifier,
+)
 
 from . import ops
-from .engine import SIM_BLOCKING, InferenceResult, LayerStats
-from .graph import GraphError, GraphModel, NodeSpec
+from .graph import SUPPORTED_OPS, GraphError, GraphModel, NodeSpec
 from .observe import observe_range
 
+#: Blocking every quantized layer compiles at: small tiles keep the
+#: event-driven engine fast on laptop-scale models.  Public so the
+#: static contract checker (``repro.analysis``) can reason about the
+#: exact per-block accumulation depth a plan will use.
+SIM_BLOCKING = BlockingParams(mc=16, nc=16, kc=64)
 
-# -- bound GEMM executors -----------------------------------------------------
+
+@dataclass
+class LayerStats:
+    """Per-quantized-GEMM execution record (mixgemm backend only).
+
+    ``layer`` is the node's effective id (explicit ``id`` or the
+    positional ``n<i>`` default), so per-layer cycle reports can name
+    the layer they measured.
+    """
+
+    op: str
+    config: str
+    macs: int
+    cycles: int
+    layer: str = ""
+
+    @property
+    def macs_per_cycle(self) -> float:
+        return self.macs / self.cycles if self.cycles else 0.0
+
+
+@dataclass
+class InferenceResult:
+    """Output batch plus simulator statistics and the reliability log.
+
+    ``fault_events`` records every guard detection (and what the
+    recovery policy did about it); ``recovered_layers`` lists the nodes
+    whose output was salvaged by retry, vault restore or reference
+    fallback.  A clean run has both empty.
+    """
+
+    output: np.ndarray
+    layer_stats: list[LayerStats] = field(default_factory=list)
+    fault_events: list[FaultEvent] = field(default_factory=list)
+    recovered_layers: list[str] = field(default_factory=list)
+    guard_level: str = "off"
+
+    @property
+    def total_cycles(self) -> int:
+        return sum(s.cycles for s in self.layer_stats)
+
+    @property
+    def total_macs(self) -> int:
+        return sum(s.macs for s in self.layer_stats)
+
+    def gops(self, freq_ghz: float = 1.2) -> float:
+        if self.total_cycles == 0:
+            return 0.0
+        return 2.0 * self.total_macs / self.total_cycles * freq_ghz
+
+    def reliability_report(self) -> dict:
+        """Structured summary of what the guards saw during this run."""
+        by_guard: dict[str, int] = {}
+        for e in self.fault_events:
+            by_guard[e.detected_by] = by_guard.get(e.detected_by, 0) + 1
+        return {
+            "guard_level": self.guard_level,
+            "detections": len(self.fault_events),
+            "by_guard": by_guard,
+            "recovered_layers": list(self.recovered_layers),
+        }
+
+
+
+def _mark_recovered(result: InferenceResult, label: str) -> None:
+    if label not in result.recovered_layers:
+        result.recovered_layers.append(label)
+
+
+# -- GEMM executors -----------------------------------------------------------
+#
+# A quantized step calls ``gemm(a, result) -> C`` once per group.  Which
+# class sits behind the call is decided when the plan is built: the
+# numpy reference, a bound Mix-GEMM executor, or a guarded one.
 
 
 class _ActQuantizer:
@@ -132,13 +229,29 @@ class _ActQuantizer:
         return q.clip(self._qmin, self._qmax).astype(self.dtype)
 
 
+class _RefGemm:
+    """The numpy backend's integer GEMM: ``a @ b``, nothing recorded."""
+
+    mode = "numpy"
+    config = None
+    prepacked = False
+    input_dtype = np.int64
+
+    def __init__(self, b: np.ndarray) -> None:
+        self._b = b
+        self.k, self.n = b.shape
+
+    def __call__(self, a: np.ndarray, result: InferenceResult) -> np.ndarray:
+        return a @ self._b
+
+
 class _BoundGemm:
     """One (config, layer, group) GEMM with the weight operand baked in.
 
-    The backend decision is taken **once** at bind time with the same
-    rules the engine applies per call (guard-free compile implies no
-    hooks, so :func:`~repro.core.backend.resolve_backend` sees the
-    identical inputs).  The fast mode holds the
+    The backend decision is taken **once** at bind time with the rules
+    :class:`~repro.core.gemm.MixGemm` applies per call (an unguarded
+    plan has no hooks, so :func:`~repro.core.backend.resolve_backend`
+    sees the identical inputs).  The fast mode holds the
     :class:`~repro.core.fastpath.FastGemmKernel`
     :func:`~repro.core.fastpath.run_fastpath` would build, with the
     weight-side validation and the timing lookup hoisted out of the
@@ -150,8 +263,11 @@ class _BoundGemm:
     """
 
     def __init__(self, b: np.ndarray, config: MixGemmConfig,
-                 gemm_backend: str, pack_cache: PackingCache) -> None:
+                 gemm_backend: str, pack_cache: PackingCache,
+                 label: str, op: str) -> None:
         self.config = config
+        self.label = label
+        self.op = op
         self.k, self.n = b.shape
         self._costs = KernelCosts()
         decision = resolve_backend(gemm_backend, config,
@@ -174,8 +290,8 @@ class _BoundGemm:
                                     pack_cache=pack_cache)
             self.prepacked = pack_cache.prewarm("B", b, config)
 
-    def __call__(self, a: np.ndarray) -> tuple[np.ndarray, int]:
-        """``(C, cycles)`` for ``a`` already in the config's range.
+    def __call__(self, a: np.ndarray, result: InferenceResult) -> np.ndarray:
+        """``C`` for ``a`` already in the config's range; logs the stats.
 
         The A-side ``_check_matrix`` is provably redundant here --
         ``quantize`` clipped the activations into exactly the
@@ -184,18 +300,156 @@ class _BoundGemm:
         exact integers, in a float container when the kernel's
         ``acc_dtype`` is one.
         """
+        observe_range(self.label, "act", a)
+        m = a.shape[0]
         if self.mode == "event":
             engine = self._executor.engine
             before = engine.now
             res = self._executor.gemm(a, self._b)
-            return res.c, res.cycles - before
-        m = a.shape[0]
-        cycles = self._cycles_by_m.get(m)
-        if cycles is None:
-            cycles = fastpath_timing(self.config, self._costs, m, self.n,
-                                     self.k).cycles
-            self._cycles_by_m[m] = cycles
-        return self.kernel(a), cycles
+            c, cycles = res.c, res.cycles - before
+        else:
+            cycles = self._cycles_by_m.get(m)
+            if cycles is None:
+                cycles = fastpath_timing(self.config, self._costs, m,
+                                         self.n, self.k).cycles
+                self._cycles_by_m[m] = cycles
+            c = self.kernel(a)
+        observe_range(self.label, "acc", c)
+        result.layer_stats.append(LayerStats(
+            op=self.op, config=self.config.name, macs=m * self.n * self.k,
+            cycles=cycles, layer=self.label,
+        ))
+        return c
+
+
+@dataclass(frozen=True)
+class _Guards:
+    """The per-call robustness hooks of a guarded plan.
+
+    Built by :class:`~repro.runtime.engine.InferenceEngine`, which owns
+    the fault injector and the shadow verifier across runs.
+    """
+
+    level: str
+    recovery: RecoveryPolicy
+    injector: object = None
+    shadow: Optional[ShadowVerifier] = None
+
+    @property
+    def rank(self) -> int:
+        return guard_rank(self.level)
+
+    def needs_gemm_hooks(self, backend: str) -> bool:
+        """Whether a quantized GEMM must run as a :class:`_GuardedGemm`.
+
+        Below ``standard`` and without an injector a guarded GEMM would
+        build hook-free executors, which compute exactly what the bound
+        GEMM computes.
+        """
+        if self.injector is not None:
+            return True
+        return backend == "mixgemm" and self.rank >= 2
+
+
+class _GuardedGemm:
+    """A quantized GEMM run under the armed guards, with recovery.
+
+    Holds the quantized weight operand and, per call, builds a fresh
+    :class:`~repro.core.gemm.MixGemm` with the fault hook and (from
+    ``standard``) the :class:`~repro.robustness.guards.PackGuard` wired
+    in.  A :class:`~repro.robustness.errors.GuardError` or a shadow
+    mismatch (``full``) records a :class:`FaultEvent`, then retries up
+    to ``recovery.max_retries`` times before degrading to the integer
+    reference (or raising when fallback is off).  The range tap sees
+    only clean runs: injected faults legitimately escape any clean-run
+    interval.  With ``config=None`` (numpy backend) it only announces
+    the layer to the injector and runs the reference product.
+    """
+
+    mode = "guarded"
+    prepacked = False
+    input_dtype = np.int64
+
+    def __init__(self, b: np.ndarray, config: Optional[MixGemmConfig],
+                 guards: _Guards, gemm_backend: str,
+                 pack_cache: PackingCache, label: str, op: str,
+                 layer_index: int) -> None:
+        self._b = b
+        self.k, self.n = b.shape
+        self.config = config
+        self.guards = guards
+        self.gemm_backend = gemm_backend
+        self.pack_cache = pack_cache
+        self.label = label
+        self.op = op
+        self.layer_index = layer_index
+
+    def __call__(self, a: np.ndarray, result: InferenceResult) -> np.ndarray:
+        guards = self.guards
+        if guards.injector is not None:
+            guards.injector.begin_layer(self.layer_index)
+        if self.config is None:
+            return a @ self._b
+        pack_guard = PackGuard(self.config) if guards.rank >= 2 else None
+        shadow = guards.shadow
+        reference = shadow.reference(a, self._b) if shadow else None
+        detected = False
+        attempts = guards.recovery.max_retries + 1
+        for attempt in range(attempts):
+            executor = MixGemm(self.config, emulate_datapath=False,
+                               fault_hook=guards.injector,
+                               pack_guard=pack_guard,
+                               backend=self.gemm_backend,
+                               pack_cache=self.pack_cache)
+            try:
+                gemm = executor.gemm(a, self._b)
+            except GuardError as exc:
+                failure = (exc.guard, str(exc))
+            else:
+                if reference is None or shadow.matches(gemm.c, reference):
+                    break
+                failure = ("shadow", "simulated output disagrees with "
+                                     "the integer reference")
+            detected = True
+            retrying = attempt < attempts - 1
+            result.fault_events.append(FaultEvent(
+                layer=self.label, op=self.op, detected_by=failure[0],
+                action="retried" if retrying else "fallback",
+                message=failure[1],
+            ))
+            if not retrying:
+                return self._degrade(a, result, reference)
+        if guards.injector is None and not detected:
+            observe_range(self.label, "act", a)
+            observe_range(self.label, "acc", gemm.c)
+        result.layer_stats.append(LayerStats(
+            op=self.op, config=self.config.name, macs=gemm.macs,
+            cycles=gemm.cycles, layer=self.label,
+        ))
+        if detected:
+            _mark_recovered(result, self.label)
+        return gemm.c
+
+    def _degrade(self, a: np.ndarray, result: InferenceResult,
+                 reference: Optional[np.ndarray]) -> np.ndarray:
+        """Retries exhausted: degrade to the reference backend or raise."""
+        recovery = self.guards.recovery
+        if not recovery.fallback:
+            raise GuardError(
+                f"layer {self.label} ({self.op}) failed every guarded "
+                f"attempt and fallback is disabled",
+                guard="recovery",
+            )
+        value = reference if reference is not None else reference_gemm(
+            a, self._b)
+        _mark_recovered(result, self.label)
+        if recovery.warn:
+            warnings.warn(ReliabilityWarning(
+                f"layer {self.label} ({self.op}) fell back to the numpy "
+                f"reference after exhausting {recovery.max_retries} "
+                f"retries"
+            ), stacklevel=4)
+        return value
 
 
 # -- compiled steps -----------------------------------------------------------
@@ -369,19 +623,75 @@ class _ConvLowering:
         return np.take(self._flat, self._idx)
 
 
+class _QuantGemmBinder:
+    """Builds the quantized GEMM executors of one plan.
+
+    Carries the compile-time choice between :class:`_RefGemm`,
+    :class:`_BoundGemm` and :class:`_GuardedGemm`, and numbers the
+    quantized nodes in graph order for the fault injector.
+    """
+
+    def __init__(self, backend: str, gemm_backend: str, accmem_bits: int,
+                 pack_cache: PackingCache, guards: Optional[_Guards]) -> None:
+        self.backend = backend
+        self.gemm_backend = gemm_backend
+        self.accmem_bits = accmem_bits
+        self.pack_cache = pack_cache
+        self.guards = guards
+        self._guarded = (guards is not None
+                         and guards.needs_gemm_hooks(backend))
+        self._quant_nodes = 0
+
+    def bind(self, node: NodeSpec, label: str, panels: list[np.ndarray]
+             ) -> list:
+        """One executor per weight panel (conv group) of ``node``."""
+        attrs = node.attrs
+        layer_index = self._quant_nodes
+        self._quant_nodes += 1
+        config = None
+        if self.backend == "mixgemm":
+            config = MixGemmConfig(
+                bw_a=attrs["act_bits"], bw_b=attrs["weight_bits"],
+                signed_a=attrs["act_signed"], signed_b=True,
+                blocking=SIM_BLOCKING, accmem_bits=self.accmem_bits,
+            )
+        if self._guarded:
+            return [_GuardedGemm(p, config, self.guards, self.gemm_backend,
+                                 self.pack_cache, label, node.op,
+                                 layer_index) for p in panels]
+        if config is None:
+            return [_RefGemm(p) for p in panels]
+        return [_BoundGemm(p, config, self.gemm_backend, self.pack_cache,
+                           label, node.op) for p in panels]
+
+
+def _quant_params(node: NodeSpec) -> tuple[QuantParams, QuantParams]:
+    """Activation (per-tensor, shipped scale) and weight (per-channel
+    absmax) quantization of a quantized node -- the QAT forward's rule."""
+    attrs = node.attrs
+    act_qp = QuantParams(
+        scale=attrs["act_scale"], zero_point=0.0,
+        bits=attrs["act_bits"], signed=attrs["act_signed"],
+    )
+    w_scale = weight_absmax_scale(node.tensors["weight"],
+                                  attrs["weight_bits"], channel_axis=0)
+    wgt_qp = QuantParams(scale=w_scale, zero_point=0.0,
+                         bits=attrs["weight_bits"], signed=True, axis=0)
+    return act_qp, wgt_qp
+
+
 class _ConvStep(_Step):
     """``quant_conv2d`` / ``conv2d`` with everything static precomputed."""
 
     can_fold_bn = True
 
-    def __init__(self, node: NodeSpec, label: str, input_ids: list[str], *,
-                 backend: str, gemm_backend: str, accmem_bits: int,
-                 pack_cache: PackingCache) -> None:
+    def __init__(self, node: NodeSpec, label: str, input_ids: list[str],
+                 binder: _QuantGemmBinder) -> None:
         super().__init__(label, input_ids)
         self.op = node.op
         self.stats_label = label
         self.quant = node.op == "quant_conv2d"
-        self.backend = backend
+        self.backend = binder.backend
         attrs = node.attrs
         w = node.tensors["weight"]
         self.stride = attrs["stride"]
@@ -395,42 +705,23 @@ class _ConvStep(_Step):
         self._lowerings: dict[tuple[int, ...], _ConvLowering] = {}
 
         if self.quant:
-            self.act_qp = QuantParams(
-                scale=attrs["act_scale"], zero_point=0.0,
-                bits=attrs["act_bits"], signed=attrs["act_signed"],
-            )
-            w_scale = weight_absmax_scale(w, attrs["weight_bits"],
-                                          channel_axis=0)
-            wgt_qp = QuantParams(scale=w_scale, zero_point=0.0,
-                                 bits=attrs["weight_bits"], signed=True,
-                                 axis=0)
+            self.act_qp, wgt_qp = _quant_params(node)
             w_q = quantize(w, wgt_qp)
-            # Same expression the engine evaluates per call; hoisting it
-            # does not change a single bit of the product below.
+            # The dequantization scale, hoisted out of the per-call
+            # product without changing a single bit of it.
             self._out_scale = (float(self.act_qp.scale)
                                * wgt_qp.scale[None, :])
-            panels = [
+            self.gemms = binder.bind(node, label, [
                 w_q[g * self.fpg:(g + 1) * self.fpg].reshape(self.fpg, -1).T
                 for g in range(self.groups)
-            ]
-            if backend == "mixgemm":
-                config = MixGemmConfig(
-                    bw_a=attrs["act_bits"], bw_b=attrs["weight_bits"],
-                    signed_a=attrs["act_signed"], signed_b=True,
-                    blocking=SIM_BLOCKING, accmem_bits=accmem_bits,
-                )
-                self.gemms = [_BoundGemm(p, config, gemm_backend,
-                                         pack_cache) for p in panels]
-                # Groups share config and K, hence one input dtype.
-                self._act_dtype = self.gemms[0].input_dtype
-            else:
-                self.panels = panels
-                self._act_dtype = np.int64
+            ])
+            # Groups share config and K, hence one input dtype.
+            self._act_dtype = self.gemms[0].input_dtype
             self._quant_act = _ActQuantizer(self.act_qp, self._act_dtype)
         else:
-            # Keep the engine's exact view (reshape + transpose of the
-            # original array): float matmul results can depend on the
-            # operand memory layout BLAS sees, so we do not re-pack.
+            # Keep the exact view (reshape + transpose of the original
+            # array): float matmul results can depend on the operand
+            # memory layout BLAS sees, so we do not re-pack.
             self.panels = [
                 w[g * self.fpg:(g + 1) * self.fpg].reshape(self.fpg, -1).T
                 for g in range(self.groups)
@@ -454,28 +745,17 @@ class _ConvStep(_Step):
                  result: InferenceResult) -> np.ndarray:
         x = arrays[0]
         low = self._lowering(x.shape)
-        src = self._quant_act(x) if self.quant else x
-        outs = []
-        for g in range(self.groups):
-            rows = low.rows(src[:, g * self.cpg:(g + 1) * self.cpg])
-            if self.quant and self.backend == "mixgemm":
-                gemm = self.gemms[g]
-                observe_range(self.stats_label, "act", rows)
-                c, cycles = gemm(rows)
-                observe_range(self.stats_label, "acc", c)
-                result.layer_stats.append(LayerStats(
-                    op=self.op, config=gemm.config.name,
-                    macs=rows.shape[0] * gemm.n * gemm.k, cycles=cycles,
-                    layer=self.stats_label,
-                ))
-                outs.append(c)
-            else:
-                outs.append(rows @ self.panels[g])
-        acc = np.concatenate(outs, axis=1)
         if self.quant:
+            src = self._quant_act(x)
+            acc = np.concatenate([
+                gemm(low.rows(src[:, g * self.cpg:(g + 1) * self.cpg]),
+                     result)
+                for g, gemm in enumerate(self.gemms)], axis=1)
             y = acc.astype(np.float64) * self._out_scale
         else:
-            y = acc
+            y = np.concatenate([
+                low.rows(x[:, g * self.cpg:(g + 1) * self.cpg]) @ panel
+                for g, panel in enumerate(self.panels)], axis=1)
         y = rows_to_nchw(y, x.shape[0], low.out_h, low.out_w)
         if self._bias is not None:
             y = y + self._bias
@@ -485,53 +765,22 @@ class _ConvStep(_Step):
 class _QuantLinearStep(_Step):
     """``quant_linear`` with quantized weights and scales baked in."""
 
-    def __init__(self, node: NodeSpec, label: str, input_ids: list[str], *,
-                 backend: str, gemm_backend: str, accmem_bits: int,
-                 pack_cache: PackingCache) -> None:
+    def __init__(self, node: NodeSpec, label: str, input_ids: list[str],
+                 binder: _QuantGemmBinder) -> None:
         super().__init__(label, input_ids)
         self.op = node.op
         self.stats_label = label
-        self.backend = backend
-        attrs = node.attrs
-        w = node.tensors["weight"]
-        self.act_qp = QuantParams(
-            scale=attrs["act_scale"], zero_point=0.0,
-            bits=attrs["act_bits"], signed=attrs["act_signed"],
-        )
-        w_scale = weight_absmax_scale(w, attrs["weight_bits"],
-                                      channel_axis=0)
-        wgt_qp = QuantParams(scale=w_scale, zero_point=0.0,
-                             bits=attrs["weight_bits"], signed=True, axis=0)
-        w_q_t = quantize(w, wgt_qp).T
+        self.backend = binder.backend
+        self.act_qp, wgt_qp = _quant_params(node)
+        w_q_t = quantize(node.tensors["weight"], wgt_qp).T
         self._out_scale = float(self.act_qp.scale) * wgt_qp.scale
         self._bias = node.tensors.get("bias")
-        if backend == "mixgemm":
-            config = MixGemmConfig(
-                bw_a=attrs["act_bits"], bw_b=attrs["weight_bits"],
-                signed_a=attrs["act_signed"], signed_b=True,
-                blocking=SIM_BLOCKING, accmem_bits=accmem_bits,
-            )
-            self.gemm = _BoundGemm(w_q_t, config, gemm_backend, pack_cache)
-            act_dtype = self.gemm.input_dtype
-        else:
-            self.panel = w_q_t
-            act_dtype = np.int64
-        self._quant_act = _ActQuantizer(self.act_qp, act_dtype)
+        self.gemm, = binder.bind(node, label, [w_q_t])
+        self._quant_act = _ActQuantizer(self.act_qp, self.gemm.input_dtype)
 
     def __call__(self, arrays: list[np.ndarray],
                  result: InferenceResult) -> np.ndarray:
-        x_q = self._quant_act(arrays[0])
-        if self.backend == "mixgemm":
-            observe_range(self.stats_label, "act", x_q)
-            acc, cycles = self.gemm(x_q)
-            observe_range(self.stats_label, "acc", acc)
-            result.layer_stats.append(LayerStats(
-                op=self.op, config=self.gemm.config.name,
-                macs=x_q.shape[0] * self.gemm.n * self.gemm.k,
-                cycles=cycles, layer=self.stats_label,
-            ))
-        else:
-            acc = x_q @ self.panel
+        acc = self.gemm(self._quant_act(arrays[0]), result)
         y = acc.astype(np.float64) * self._out_scale
         if self._bias is not None:
             y = y + self._bias
@@ -558,6 +807,9 @@ class PlanInfo:
     #: Whether the fusion pass ran; recorded so a shared-plan attach
     #: can recompile with the exact same structure.
     fuse: bool = True
+    #: The guard level the plan's steps were built for (``"off"`` for
+    #: every plan :func:`compile_graph` returns).
+    guard_level: str = "off"
 
     def as_dict(self) -> dict:
         return {
@@ -570,23 +822,45 @@ class PlanInfo:
             "accmem_bits": self.accmem_bits,
             "fusions": list(self.fusions),
             "fuse": self.fuse,
+            "guard_level": self.guard_level,
         }
 
 
+def _observe_out(label: str, out: np.ndarray) -> None:
+    observe_range(label, "out", out)
+
+
+class _NodeFence:
+    """A guarded plan's per-node output check: NaN/Inf fence, after the
+    range tap (which stays off while a fault injector is armed)."""
+
+    def __init__(self, observe: bool) -> None:
+        self.observe = observe
+
+    def __call__(self, label: str, out: np.ndarray) -> None:
+        if self.observe:
+            observe_range(label, "out", out)
+        check_finite(label, out)
+
+
 class GraphPlan:
-    """A compiled graph: call :meth:`run` like the engine, minus the tax.
+    """A compiled graph: call :meth:`run` with a batch, get a result.
 
     Plans snapshot the graph's weights at compile time; mutating the
     graph afterwards (e.g. a fault campaign) requires recompiling.  Not
-    thread-safe -- see the module docstring.
+    thread-safe -- see the module docstring.  ``tap`` (chosen at compile
+    time, ``None`` when nothing watches) sees every step's output.
     """
 
     def __init__(self, graph: Optional[GraphModel], steps: list[_Step],
-                 info: PlanInfo, pack_cache: PackingCache) -> None:
+                 info: PlanInfo, pack_cache: PackingCache,
+                 tap: Optional[Callable[[str, np.ndarray], None]] = None
+                 ) -> None:
         self.graph = graph
         self.steps = steps
         self.info = info
         self.pack_cache = pack_cache
+        self._tap = tap
 
     def release_source(self) -> None:
         """Drop the reference to the source graph.
@@ -600,11 +874,12 @@ class GraphPlan:
         self.graph = None
 
     def run(self, x: np.ndarray) -> InferenceResult:
-        """Execute the compiled plan; mirrors ``InferenceEngine.run``."""
+        """Execute the plan on a batch; NCHW for conv models."""
         result = InferenceResult(output=np.asarray(x, dtype=np.float64),
-                                 guard_level="off")
+                                 guard_level=self.info.guard_level)
         values: dict[str, np.ndarray] = {"input": result.output}
         label = "input"
+        tap = self._tap
         for step in self.steps:
             try:
                 arrays = [values[name] for name in step.input_ids]
@@ -614,8 +889,8 @@ class GraphPlan:
                 ) from None
             label = step.label
             out = step(arrays, result)
-            if self.info.backend == "mixgemm":
-                observe_range(label, "out", out)
+            if tap is not None:
+                tap(label, out)
             values[label] = out
         result.output = values[label]
         return result
@@ -634,7 +909,13 @@ class GraphPlan:
 
 def _effective_wiring(graph: GraphModel
                       ) -> tuple[list[str], list[list[str]]]:
-    """Labels and resolved input lists, engine-identical, validated."""
+    """Labels and resolved input lists, validated.
+
+    Nodes without explicit ``inputs`` consume the previous node's output
+    (the Sequential chain); ``"input"`` names the model input.  Rejects
+    id collisions (which would silently overwrite a tensor) and inputs
+    lists of the wrong arity for the op, and ops no step implements.
+    """
     labels = graph.effective_ids()
     seen: set[str] = set()
     for i, (node, label) in enumerate(zip(graph, labels)):
@@ -648,11 +929,22 @@ def _effective_wiring(graph: GraphModel
         seen.add(label)
     inputs_of: list[list[str]] = []
     prev = "input"
-    for node, label in zip(graph, labels):
-        inputs_of.append(list(node.inputs) if node.inputs else [prev])
+    for i, (node, label) in enumerate(zip(graph, labels)):
+        if node.op not in SUPPORTED_OPS:
+            raise GraphError(f"unsupported op: {node.op}")
+        eff = list(node.inputs) if node.inputs else [prev]
+        arity = 2 if node.op in _BINARY_OPS else 1
+        if len(eff) != arity:
+            raise GraphError(
+                f"node {i} ({node.op}) takes {arity} input"
+                f"{'s' if arity > 1 else ''}, got {len(eff)}")
+        inputs_of.append(eff)
         prev = label
     return labels, inputs_of
 
+
+#: Ops consuming two upstream tensors; every other op takes one.
+_BINARY_OPS = frozenset({"add", "channel_scale"})
 
 #: Ops a step can absorb into its epilogue (elementwise, single-input).
 _FUSABLE_ACTS = frozenset({"relu", "relu6"})
@@ -665,6 +957,11 @@ def compile_graph(graph: GraphModel, *, backend: str = "numpy",
                   fuse: bool = True) -> GraphPlan:
     """Compile ``graph`` into a :class:`GraphPlan` for ``backend``.
 
+    ``backend`` is ``"numpy"`` (integer reference) or ``"mixgemm"``
+    (u-engine simulator with per-layer cycle accounting);
+    ``gemm_backend`` picks ``"event"``, ``"fast"`` or ``"auto"`` within
+    the simulator (see :mod:`repro.core.backend`).
+
     Fusion is conservative and therefore exact: a follower is absorbed
     only when it has a single input, that input is the immediately
     preceding step's output, and no other node consumes it.  BN folds
@@ -673,8 +970,19 @@ def compile_graph(graph: GraphModel, *, backend: str = "numpy",
     else becomes its own step running the shared :mod:`~repro.runtime.ops`
     kernels, so an unfusable graph still compiles -- it just keeps more
     steps.  Every quantized GEMM layer compiles at the Table-I
-    ``SIM_BLOCKING``.
+    ``SIM_BLOCKING``.  Wiring errors (id collisions, a binary op without
+    exactly two inputs, any other op without exactly one) and unknown
+    ops raise :class:`~repro.runtime.graph.GraphError` here, before any
+    run.
     """
+    return _compile(graph, backend, gemm_backend, accmem_bits,
+                    pack_cache, fuse, guards=None)
+
+
+def _compile(graph: GraphModel, backend: str, gemm_backend: str,
+             accmem_bits: int, pack_cache: Optional[PackingCache],
+             fuse: bool, guards: Optional[_Guards]) -> GraphPlan:
+    """:func:`compile_graph`, plus the guarded build the engine uses."""
     if backend not in ("numpy", "mixgemm"):
         raise GraphError(f"unknown backend: {backend}")
     if gemm_backend not in EXECUTION_BACKENDS:
@@ -684,8 +992,8 @@ def compile_graph(graph: GraphModel, *, backend: str = "numpy",
     labels, inputs_of = _effective_wiring(graph)
     consumers = Counter(name for eff in inputs_of for name in eff)
 
-    gemm_kwargs = dict(backend=backend, gemm_backend=gemm_backend,
-                       accmem_bits=accmem_bits, pack_cache=pack_cache)
+    binder = _QuantGemmBinder(backend, gemm_backend, accmem_bits,
+                              pack_cache, guards)
     steps: list[_Step] = []
     folded_bn = fused_act = 0
     fusions: list[str] = []
@@ -705,30 +1013,43 @@ def compile_graph(graph: GraphModel, *, backend: str = "numpy",
                 fused_act += 1
                 continue
         if node.op in ("quant_conv2d", "conv2d"):
-            steps.append(_ConvStep(node, label, eff, **gemm_kwargs))
+            steps.append(_ConvStep(node, label, eff, binder))
         elif node.op == "quant_linear":
-            steps.append(_QuantLinearStep(node, label, eff, **gemm_kwargs))
+            steps.append(_QuantLinearStep(node, label, eff, binder))
         else:
             steps.append(_GenericStep(node, label, eff))
 
     bound = prepacked = 0
     for step in steps:
-        for gemm in getattr(step, "gemms", []):
-            bound += 1
-            prepacked += int(gemm.prepacked)
-        gemm = getattr(step, "gemm", None)
-        if gemm is not None:
-            bound += 1
-            prepacked += int(gemm.prepacked)
+        for gemm in _step_gemms(step):
+            if gemm.config is not None:
+                bound += 1
+                prepacked += int(gemm.prepacked)
 
+    observe = backend == "mixgemm" and (guards is None
+                                        or guards.injector is None)
+    if guards is not None and guards.rank >= 1:
+        tap = _NodeFence(observe)
+    else:
+        tap = _observe_out if observe else None
     info = PlanInfo(
         nodes=len(graph), steps=len(steps), folded_batchnorms=folded_bn,
         fused_activations=fused_act, bound_executors=bound,
         prepacked_panels=prepacked, backend=backend,
         gemm_backend=gemm_backend, accmem_bits=accmem_bits,
         fusions=fusions, fuse=fuse,
+        guard_level=guards.level if guards is not None else "off",
     )
-    return GraphPlan(graph, steps, info, pack_cache)
+    return GraphPlan(graph, steps, info, pack_cache, tap)
+
+
+def _step_gemms(step: _Step) -> list:
+    """The GEMM executors of a quantized step (empty for the rest)."""
+    gemms = getattr(step, "gemms", None)
+    if gemms is not None:
+        return gemms
+    gemm = getattr(step, "gemm", None)
+    return [gemm] if gemm is not None else []
 
 
 # -- zero-copy shared-memory export/attach ------------------------------------

@@ -220,7 +220,6 @@ class ServingReport:
     stats: ServingStats
     workers: int
     max_batch: int
-    compiled: bool
     responses: list[Optional[ServedResponse]] = field(default_factory=list)
     errors: list[Optional[Exception]] = field(default_factory=list)
 
@@ -251,15 +250,12 @@ class BatchedServer:
         ``"shed-oldest"`` (evict the stalest queued request).
     admission_timeout_ms:
         How long a blocked ``submit()`` waits for a queue slot.
-    compiled:
-        Serve from compiled :class:`~repro.runtime.plan.GraphPlan`
-        replicas (default) or from uncompiled engines.  Ignored (forced
-        off) when guards or fault injection are armed -- those paths
-        need the engine's recovery machinery.
     guard_level / fault_plan / recovery:
         Forwarded to each worker's :class:`InferenceEngine`, same
-        semantics as direct inference.  Arming either makes every
-        response carry fault/fallback metadata.
+        semantics as direct inference (an unfused plan with guarded
+        GEMM steps).  Unarmed, each worker serves a fused
+        :class:`~repro.runtime.plan.GraphPlan` replica directly.  Arming
+        either makes every response carry fault/fallback metadata.
     breaker:
         A :class:`~repro.robustness.recovery.BreakerPolicy` arms the
         circuit breaker: repeated faulty batches degrade the pool to
@@ -274,7 +270,7 @@ class BatchedServer:
                  max_batch: int = 8, max_wait_ms: float = 2.0,
                  queue_capacity: int = 64, admission: str = "block",
                  admission_timeout_ms: float = 1000.0,
-                 compiled: bool = True, backend: str = "numpy",
+                 backend: str = "numpy",
                  gemm_backend: str = "auto",
                  accmem_bits: int = DEFAULT_ACCMEM_BITS,
                  guard_level: str = "off",
@@ -299,7 +295,6 @@ class BatchedServer:
         self.max_wait_s = max_wait_ms / 1000.0
         self.queue_capacity = queue_capacity
         self.admission = admission
-        self.compiled = compiled
         self.pack_cache = PackingCache()
         guarded = guard_level != "off" or fault_plan is not None
         self._breaker = (CircuitBreaker(breaker)
@@ -343,11 +338,12 @@ class BatchedServer:
                        recovery: Optional[RecoveryPolicy]) -> None:
         """Fill ``self._runners`` with one :class:`_Runner` per slot.
 
-        The thread-pool flavour builds in-process backends (engine or
-        compiled plan).  :class:`~repro.runtime.sharding.ShardedServer`
-        overrides exactly this hook to put process-backed runners into
-        the same bounded pool -- every other dispatcher mechanism
-        (admission, batching, breaker, stats) is shared.
+        The thread-pool flavour builds in-process backends (a plan, or
+        an engine running a guarded plan).
+        :class:`~repro.runtime.sharding.ShardedServer` overrides exactly
+        this hook to put process-backed runners into the same bounded
+        pool -- every other dispatcher mechanism (admission, batching,
+        breaker, stats) is shared.
         """
         for _ in range(self.workers):
             if guarded:
@@ -355,14 +351,10 @@ class BatchedServer:
                     graph, backend=backend, gemm_backend=gemm_backend,
                     accmem_bits=accmem_bits, guard_level=guard_level,
                     fault_plan=fault_plan, recovery=recovery)
-            elif self.compiled:
+            else:
                 primary = compile_graph(
                     graph, backend=backend, gemm_backend=gemm_backend,
                     accmem_bits=accmem_bits, pack_cache=self.pack_cache)
-            else:
-                primary = InferenceEngine(
-                    graph, backend=backend, gemm_backend=gemm_backend,
-                    accmem_bits=accmem_bits)
             reference = None
             if self._breaker is not None:
                 reference = InferenceEngine(graph, backend="numpy",
@@ -461,7 +453,6 @@ class BatchedServer:
         return ServingReport(outputs=outputs, stats=stats,
                              workers=self.workers,
                              max_batch=self.max_batch,
-                             compiled=self.compiled,
                              responses=responses, errors=errors)
 
     def overload_snapshot(self) -> dict:
@@ -768,7 +759,6 @@ def scaling_sweep(graph: GraphModel, inputs: Sequence[np.ndarray], *,
                   worker_counts: Sequence[int] = (1, 2, 4),
                   max_batch: int = 8, max_wait_ms: float = 2.0,
                   backend: str = "numpy", gemm_backend: str = "auto",
-                  compiled: bool = True,
                   queue_capacity: int = 64, admission: str = "block",
                   deadline_ms: Optional[float] = None) -> list[dict]:
     """Throughput rows for increasing worker counts (benchmark helper)."""
@@ -776,7 +766,7 @@ def scaling_sweep(graph: GraphModel, inputs: Sequence[np.ndarray], *,
     for workers in worker_counts:
         with BatchedServer(graph, workers=workers, max_batch=max_batch,
                            max_wait_ms=max_wait_ms, backend=backend,
-                           gemm_backend=gemm_backend, compiled=compiled,
+                           gemm_backend=gemm_backend,
                            queue_capacity=queue_capacity,
                            admission=admission) as server:
             report = server.run_requests(inputs, deadline_ms=deadline_ms,

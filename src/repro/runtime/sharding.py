@@ -321,28 +321,28 @@ class ShardedServer(BatchedServer):
     zero-copy shared plan.  Construction raises
     :class:`ShardingUnavailable` when the environment cannot support
     it; :func:`~repro.runtime.serving.serve` turns that into a threaded
-    fallback.  Only compiled, guard-free configurations shard: guards
-    and fault injection need the engine recovery machinery and stay on
-    the threaded pool.
+    fallback.  Only guard-free configurations shard: guards and fault
+    injection need the engine's recovery machinery and stay on the
+    threaded pool.
 
     Extra parameter ``start_method`` defaults to ``"spawn"`` -- the
     dispatcher is multi-threaded, and forking a multi-threaded process
     can deadlock in the child.
     """
 
-    def __init__(self, graph: GraphModel, *, compiled: bool = True,
+    def __init__(self, graph: GraphModel, *,
                  guard_level: str = "off", fault_plan=None,
                  recovery=None, start_method: str = "spawn",
                  **kwargs) -> None:
-        if not compiled or guard_level != "off" or fault_plan is not None:
+        if guard_level != "off" or fault_plan is not None:
             raise ServingError(
-                "process sharding serves compiled plans only; guards "
+                "process sharding serves unguarded plans only; guards "
                 "and fault injection need the engine's recovery "
                 "machinery -- use the threaded BatchedServer")
         self._start_method = start_method
         self._shared: Optional[SharedPlan] = None
         self._handles: list[_WorkerHandle] = []
-        super().__init__(graph, compiled=True, guard_level="off",
+        super().__init__(graph, guard_level="off",
                          fault_plan=None, recovery=recovery, **kwargs)
 
     # -- runner construction hook -------------------------------------

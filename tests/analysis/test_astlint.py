@@ -180,71 +180,6 @@ class TestRep006:
         assert rules(src, path="src/repro/sim/custom.py") == []
 
 
-class TestRep007:
-    DIRECT = textwrap.dedent("""
-        class InferenceEngine:
-            def _op_quant_conv2d(self, node, x, result):
-                return quantize(node.tensors["weight"], qp)
-    """)
-    VIA_NAME = textwrap.dedent("""
-        class InferenceEngine:
-            def _op_quant_linear(self, node, x, result):
-                w = node.tensors["weight"]
-                return affine.quantize(w, qp)
-    """)
-
-    def test_direct_weight_quantize_flagged(self):
-        assert rules(self.DIRECT) == ["REP007"]
-
-    def test_quantize_of_assigned_weight_name_flagged(self):
-        assert rules(self.VIA_NAME) == ["REP007"]
-
-    def test_helper_call_passes(self):
-        src = """
-            class InferenceEngine:
-                def _op_quant_conv2d(self, node, x, result):
-                    return self._quant_weights(node, qp)
-        """
-        assert rules(src) == []
-
-    def test_activation_quantize_passes(self):
-        src = """
-            class InferenceEngine:
-                def _op_quant_conv2d(self, node, x, result):
-                    return quantize(x, act_qp)
-        """
-        assert rules(src) == []
-
-    def test_weight_quantize_outside_handler_passes(self):
-        src = """
-            class InferenceEngine:
-                def _quant_weights(self, node, qp):
-                    return quantize(node.tensors["weight"], qp)
-        """
-        assert rules(src) == []
-
-    def test_weight_quantize_outside_engine_passes(self):
-        src = """
-            class OtherRunner:
-                def _op_quant_conv2d(self, node, x, result):
-                    return quantize(node.tensors["weight"], qp)
-        """
-        assert rules(src) == []
-
-    def test_hint_steers_to_helper(self):
-        diags = lint_source(self.DIRECT, "src/repro/runtime/engine.py")
-        assert "_quant_weights" in diags[0].hint
-
-    def test_suppressed(self):
-        src = textwrap.dedent("""
-            class InferenceEngine:
-                def _op_quant_conv2d(self, node, x, result):
-                    w = node.tensors["weight"]
-                    return quantize(w, qp)  # repro: noqa REP007
-        """)
-        assert rules(src) == []
-
-
 class TestRep008:
     def test_bare_lock_flagged(self):
         assert rules("lock = threading.Lock()\n") == ["REP008"]

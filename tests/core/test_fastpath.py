@@ -30,7 +30,7 @@ from repro.core.gemm import KernelCosts, MixGemm, reference_gemm
 from repro.core.microengine import wrap_signed
 from repro.core.packcache import PackingCache
 from repro.runtime.engine import SIM_BLOCKING
-from repro.runtime.plan import _BoundGemm
+from repro.runtime.plan import InferenceResult, _BoundGemm
 
 # Small aligned blocking so the event oracle stays quick.
 BLK = BlockingParams(mc=8, nc=8, kc=2, mr=4, nr=4)
@@ -283,11 +283,13 @@ def assert_kernel_paths_exact(config, a, b):
                                                     b[p:p + kc]), bits)
                    for p in range(0, k, kc))
     np.testing.assert_array_equal(fast.c, want)
-    bound = _BoundGemm(b, config, "fast", PackingCache())
-    c, cycles = bound(a.astype(bound.input_dtype))
+    bound = _BoundGemm(b, config, "fast", PackingCache(), "layer",
+                       "quant_linear")
+    result = InferenceResult(output=a)
+    c = bound(a.astype(bound.input_dtype), result)
     assert c.dtype == bound.kernel.acc_dtype
     np.testing.assert_array_equal(c, want)
-    assert cycles == fast.cycles
+    assert [s.cycles for s in result.layer_stats] == [fast.cycles]
     return bound
 
 
@@ -368,7 +370,7 @@ class TestExactnessBoundary:
         assert kernel.acc_dtype is np.int64
         assert kernel.input_dtype is np.int64
         bound = assert_kernel_paths_exact(config, a, b)
-        c, _ = bound(a)
+        c = bound(a, InferenceResult(output=a))
         assert not np.array_equal(c, reference_gemm(a, b))  # it wrapped
 
 

@@ -1,4 +1,8 @@
-"""Compiled inference plans: bit-exactness, fusion, fallback, timing."""
+"""Compiled inference plans: bit-exactness, fusion, guards, timing."""
+
+import hashlib
+import json
+import pathlib
 
 import numpy as np
 import pytest
@@ -18,13 +22,38 @@ from repro.nn.layers import (
 from repro.robustness.faults import FaultPlan, demo_graph, demo_input
 from repro.runtime.engine import InferenceEngine
 from repro.runtime.export_modules import export_model
-from repro.runtime.graph import GraphError, export_sequential
-from repro.runtime.plan import compile_graph
+from repro.runtime.graph import (
+    SUPPORTED_OPS,
+    GraphError,
+    export_sequential,
+)
+from repro.runtime.plan import _GuardedGemm, compile_graph
+
+#: Recorded reference runs (see ``test_interpreter_golden.py``); the
+#: fused plans must reproduce them.
+GOLDEN = json.loads((pathlib.Path(__file__).parent / "data"
+                     / "interpreter_golden.json").read_text())["cases"]
 
 
 def _stats_tuples(result):
     return [(s.layer, s.op, s.config, s.macs, s.cycles)
             for s in result.layer_stats]
+
+
+def _assert_matches_golden(result, name, backend, gemm_backend):
+    """Output bytes and per-layer stats equal the recorded guard-free run.
+
+    ``auto`` resolves per layer to the fast path or the event engine,
+    which agree bit for bit and cycle for cycle, so on the simulator it
+    is checked against the recorded event run.
+    """
+    if backend == "mixgemm" and gemm_backend == "auto":
+        gemm_backend = "event"
+    want = GOLDEN[f"{name}/{backend}/{gemm_backend}/off/acc64"]
+    out = np.ascontiguousarray(result.output, dtype=np.float64)
+    assert hashlib.sha256(out.tobytes()).hexdigest() == \
+        want["output_sha256"]
+    assert [list(t) for t in _stats_tuples(result)] == want["layer_stats"]
 
 
 @pytest.fixture(scope="module")
@@ -43,7 +72,8 @@ def resnet_input():
 
 
 class TestBitExactness:
-    """The compiled plan must be indistinguishable from the engine."""
+    """The fused plan must be indistinguishable from the interpreter's
+    recorded runs."""
 
     @pytest.mark.parametrize("backend,gemm_backend", [
         ("numpy", "auto"),
@@ -52,18 +82,10 @@ class TestBitExactness:
         ("mixgemm", "fast"),
     ])
     def test_demo_graph_outputs_and_stats(self, backend, gemm_backend):
-        graph = demo_graph()
-        x = demo_input()
-        engine = InferenceEngine(graph, backend=backend,
-                                 gemm_backend=gemm_backend)
-        plan = compile_graph(graph, backend=backend,
+        plan = compile_graph(demo_graph(), backend=backend,
                              gemm_backend=gemm_backend)
-        ref = engine.run(x)
-        got = plan.run(x)
-        assert np.array_equal(got.output, ref.output)
-        assert _stats_tuples(got) == _stats_tuples(ref)
-        assert got.total_cycles == ref.total_cycles
-        assert got.total_macs == ref.total_macs
+        _assert_matches_golden(plan.run(demo_input()), "demo", backend,
+                               gemm_backend)
 
     @pytest.mark.parametrize("backend,gemm_backend", [
         ("numpy", "auto"),
@@ -72,17 +94,12 @@ class TestBitExactness:
     def test_resnet_dag_with_folds_and_fusion(self, resnet_graph,
                                               resnet_input, backend,
                                               gemm_backend):
-        engine = InferenceEngine(resnet_graph, backend=backend,
-                                 gemm_backend=gemm_backend)
         plan = compile_graph(resnet_graph, backend=backend,
                              gemm_backend=gemm_backend)
         assert plan.info.folded_batchnorms > 0
         assert plan.info.fused_activations > 0
-        ref = engine.run(resnet_input)
-        got = plan.run(resnet_input)
-        assert np.array_equal(got.output, ref.output)
-        assert _stats_tuples(got) == _stats_tuples(ref)
-        assert got.total_cycles == ref.total_cycles
+        _assert_matches_golden(plan.run(resnet_input), "resnet18", backend,
+                               gemm_backend)
 
     def test_fusion_off_is_still_exact(self, resnet_graph, resnet_input):
         ref = compile_graph(resnet_graph, backend="mixgemm").run(
@@ -108,11 +125,10 @@ class TestBitExactness:
         """Lowering scratch re-binds when the input shape changes."""
         graph = demo_graph()
         plan = compile_graph(graph, backend="mixgemm")
-        engine = InferenceEngine(graph, backend="mixgemm")
         for batch in (1, 3, 2):
             x = demo_input(batch=batch)
-            assert np.array_equal(plan.run(x).output,
-                                  engine.run(x).output)
+            fresh = compile_graph(graph, backend="mixgemm")
+            assert np.array_equal(plan.run(x).output, fresh.run(x).output)
 
     def test_predict_matches_engine(self):
         graph = demo_graph()
@@ -133,84 +149,103 @@ class TestLayerStats:
         assert set(layers) <= node_ids
 
     def test_plan_reports_same_layer_labels(self):
-        graph = demo_graph()
-        x = demo_input()
-        ref = InferenceEngine(graph, backend="mixgemm").run(x)
-        got = compile_graph(graph, backend="mixgemm").run(x)
-        assert [s.layer for s in got.layer_stats] == \
-            [s.layer for s in ref.layer_stats]
+        got = compile_graph(demo_graph(), backend="mixgemm").run(
+            demo_input())
+        assert [s.layer for s in got.layer_stats] == [
+            row[0] for row in GOLDEN["demo/mixgemm/event/off/acc64"][
+                "layer_stats"]]
 
 
 class TestEngineIntegration:
-    def test_compiled_flag_serves_from_plan(self):
+    def test_engine_serves_from_plan(self):
         graph = demo_graph()
         x = demo_input()
-        baseline = InferenceEngine(graph, backend="mixgemm").run(x)
-        engine = InferenceEngine(graph, backend="mixgemm", compiled=True)
+        engine = InferenceEngine(graph, backend="mixgemm")
         got = engine.run(x)
-        assert engine._plan is not None
+        baseline = compile_graph(graph, backend="mixgemm").run(x)
+        assert engine.plan.info.fuse
         assert np.array_equal(got.output, baseline.output)
-        assert got.total_cycles == baseline.total_cycles
+        assert _stats_tuples(got) == _stats_tuples(baseline)
+
+    def test_compiled_option_is_gone(self):
+        with pytest.raises(TypeError):
+            InferenceEngine(demo_graph(), compiled=True)
 
     def test_compile_returns_reused_plan(self):
         engine = InferenceEngine(demo_graph(), backend="mixgemm")
-        plan = engine.compile()
+        plan = engine.plan
         x = demo_input()
         got = engine.run(x)
-        assert engine._plan is plan
-        baseline = InferenceEngine(demo_graph(), backend="mixgemm").run(x)
+        assert engine.plan is plan
+        engine.run(x)
+        assert engine.plan is plan
+        baseline = compile_graph(demo_graph(), backend="mixgemm").run(x)
         assert np.array_equal(got.output, baseline.output)
 
     def test_plan_shares_engine_pack_cache(self):
         engine = InferenceEngine(demo_graph(), backend="mixgemm",
-                                 gemm_backend="event", compiled=True)
+                                 gemm_backend="event")
         engine.run(demo_input())
         # Prepacked weights + per-call activation packs all land in the
         # engine's own cache.
         assert engine.pack_stats.packs > 0
 
 
-class TestRobustnessFallback:
-    """Guards and fault injection transparently bypass the plan."""
+class TestGuardedPlans:
+    """Guards and fault injection run on an unfused plan whose
+    quantized steps carry guarded GEMMs chosen at compile time."""
 
-    def test_guards_force_uncompiled_path(self):
+    @pytest.mark.parametrize("level", ["light", "standard", "full"])
+    def test_guards_compile_unfused_guarded_plan(self, level):
         graph = demo_graph()
-        x = demo_input()
         engine = InferenceEngine(graph, backend="mixgemm",
-                                 guard_level="full", compiled=True)
-        baseline = InferenceEngine(graph, backend="mixgemm",
-                                   guard_level="full").run(x)
-        got = engine.run(x)
-        # The plan was never even built: the guarded path ran.
-        assert engine._plan is None
-        assert got.guard_level == "full"
-        assert np.array_equal(got.output, baseline.output)
+                                 guard_level=level)
+        plan = engine.plan
+        assert not plan.info.fuse
+        assert plan.info.guard_level == level
+        assert len(plan.steps) == len(graph)
+        guarded = [g for _, gemms in _quant_steps(plan) for g in gemms
+                   if isinstance(g, _GuardedGemm)]
+        # Light guards only fence node outputs: the GEMMs stay bound.
+        assert bool(guarded) == (level != "light")
+        assert verify_plan(plan) == []
+        assert engine.run(demo_input()).guard_level == level
 
-    def test_fault_plan_forces_uncompiled_path(self):
+    def test_unguarded_plan_binds_no_guarded_gemm(self, resnet_graph):
+        plan = InferenceEngine(resnet_graph, backend="mixgemm").plan
+        assert plan.info.fuse and plan.info.guard_level == "off"
+        assert not any(isinstance(g, _GuardedGemm)
+                       for _, gemms in _quant_steps(plan) for g in gemms)
+
+    def test_fault_plan_recompiles_every_run(self):
         graph = demo_graph()
         x = demo_input()
         plan = FaultPlan.generate(seed=3, n_faults=1, sites=("weight",))
         engine = InferenceEngine(graph, backend="mixgemm",
-                                 fault_plan=plan, compiled=True)
-        got = engine.run(x)
-        assert engine._plan is None
-        assert engine.injector is not None
-        assert engine.injector.injected
+                                 fault_plan=plan)
+        try:
+            engine.run(x)
+            first = engine.plan
+            assert engine.injector.injected
+            engine.run(x)
+            assert engine.plan is not first
+        finally:
+            engine.injector.restore()
 
-    def test_guarded_compiled_detects_faults_like_uncompiled(self):
-        """compiled=True must not weaken the PR-1 detection story."""
+    def test_guarded_plan_detection_is_deterministic(self):
         graph = demo_graph()
         x = demo_input()
-        plan = FaultPlan.generate(seed=5, n_faults=1, sites=("accmem",))
-        engine = InferenceEngine(graph, backend="mixgemm",
-                                 guard_level="full", fault_plan=plan,
-                                 compiled=True)
-        result = engine.run(x)
-        reference = InferenceEngine(
-            graph, backend="mixgemm", guard_level="full",
-            fault_plan=FaultPlan.generate(seed=5, n_faults=1,
-                                          sites=("accmem",))).run(x)
-        assert len(result.fault_events) == len(reference.fault_events)
+
+        def run():
+            return InferenceEngine(
+                graph, backend="mixgemm", guard_level="full",
+                fault_plan=FaultPlan.generate(seed=5, n_faults=1,
+                                              sites=("accmem",))).run(x)
+
+        first, second = run(), run()
+        assert first.fault_events
+        assert first.fault_events == second.fault_events
+        assert np.array_equal(first.output, second.output)
 
 
 class TestPlanInfo:
@@ -264,6 +299,41 @@ class TestValidation:
         b.add(NodeSpec(op="teleport"), inputs=["input"])
         with pytest.raises(GraphError):
             compile_graph(b.build())
+
+    @pytest.mark.parametrize("op", sorted(SUPPORTED_OPS))
+    def test_every_supported_op_has_a_step_builder(self, op):
+        """``graph.SUPPORTED_OPS`` and the step builders stay in sync:
+        an attr-less node may fail on a missing attribute, never as an
+        unsupported op."""
+        from repro.runtime.graph import GraphBuilder, NodeSpec
+
+        b = GraphBuilder("one-op")
+        b.add(NodeSpec(op="identity", id="a"), inputs=["input"])
+        b.add(NodeSpec(op=op), inputs=["input", "a"][
+            :2 if op in ("add", "channel_scale") else 1])
+        try:
+            compile_graph(b.build())
+        except KeyError:
+            pass
+        except GraphError as exc:
+            assert "unsupported" not in str(exc)
+
+    @pytest.mark.parametrize("op,n_inputs", [
+        ("add", 1), ("add", 3), ("channel_scale", 1),
+        ("relu", 2), ("quant_conv2d", 2), ("quant_linear", 2),
+    ])
+    def test_wrong_arity_rejected_at_compile_time(self, op, n_inputs):
+        from repro.runtime.graph import GraphBuilder, NodeSpec
+
+        donor = {n.op: n for n in demo_graph()}.get(op)
+        b = GraphBuilder("arity")
+        b.add(NodeSpec(op="identity", id="a"), inputs=["input"])
+        b.add(NodeSpec(op="identity", id="b"), inputs=["a"])
+        node = NodeSpec(op=op, attrs=dict(donor.attrs) if donor else {},
+                        tensors=dict(donor.tensors) if donor else {})
+        b.add(node, inputs=["input", "a", "b"][:n_inputs])
+        with pytest.raises(GraphError, match=f"{op}.*got {n_inputs}"):
+            compile_graph(b.build(), backend="mixgemm")
 
     def test_unknown_input_reference(self):
         from repro.runtime.graph import GraphBuilder, NodeSpec

@@ -43,13 +43,16 @@ class TestCorrectness:
         for out in report.outputs[1:]:
             assert np.array_equal(out, first)
 
-    def test_uncompiled_mode_matches_compiled(self, graph):
+    def test_guarded_runners_match_plans(self, graph):
+        """Light guards serve through engines running unfused guarded
+        plans; a clean run must not change a single output bit."""
         inputs = _inputs(8)
-        with BatchedServer(graph, workers=2, compiled=True) as server:
-            compiled = server.run_requests(inputs)
-        with BatchedServer(graph, workers=2, compiled=False) as server:
-            uncompiled = server.run_requests(inputs)
-        for a, b in zip(compiled.outputs, uncompiled.outputs):
+        with BatchedServer(graph, workers=2) as server:
+            plain = server.run_requests(inputs)
+        with BatchedServer(graph, workers=2,
+                           guard_level="light") as server:
+            guarded = server.run_requests(inputs)
+        for a, b in zip(plain.outputs, guarded.outputs):
             assert np.array_equal(a, b)
 
     def test_mixed_shapes_split_into_subbatches(self):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from repro.robustness.errors import ReliabilityWarning
-from repro.robustness.faults import demo_graph
+from repro.robustness.faults import FaultPlan, demo_graph
 from repro.robustness.recovery import BreakerPolicy
 from repro.runtime.engine import InferenceEngine
 from repro.runtime.serving import BatchedServer, ServingError, serve
@@ -87,8 +87,8 @@ class TestLifecycle:
     def test_guarded_configs_refused(self, graph):
         with pytest.raises(ServingError, match="threaded"):
             ShardedServer(graph, guard_level="full")
-        with pytest.raises(ServingError, match="compiled"):
-            ShardedServer(graph, compiled=False)
+        with pytest.raises(ServingError, match="unguarded plans only"):
+            ShardedServer(graph, fault_plan=FaultPlan.generate(seed=0))
 
 
 class TestCrashRecovery:
@@ -161,7 +161,7 @@ class TestServeFactory:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ServingError):
-                serve(graph, processes=True, compiled=False)
+                serve(graph, processes=True, guard_level="full")
 
     def test_sharding_unavailable_direct_construction(
             self, graph, monkeypatch):

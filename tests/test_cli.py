@@ -88,3 +88,39 @@ class TestFaultsim:
     def test_guard_level_choices_enforced(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["faultsim", "--guard-level", "off"])
+
+
+class TestRun:
+    def test_run_is_served_from_the_plan(self, capsys):
+        assert main(["run"]) == 0
+        out = capsys.readouterr().out
+        assert "compiled plan: 4 steps" in out
+        assert "cost model:" in out
+        layers = [line for line in out.splitlines() if "cycles=" in line
+                  and "macs=" in line]
+        assert len(layers) == 3
+        for line in layers:
+            cycles = line.split("cycles=")[1].split()[0]
+            assert line.endswith(f"predicted={cycles}")
+
+    def test_guarded_run_prints_unfused_plan(self, capsys):
+        assert main(["run"]) == 0
+        plain = capsys.readouterr().out
+        assert main(["run", "--guard-level", "light"]) == 0
+        out = capsys.readouterr().out
+        assert "compiled plan: 6 steps" in out
+        assert "guarded at light" in out
+        assert "predicted=" not in out
+
+        def pick(text, prefix):
+            return [line for line in text.splitlines()
+                    if line.startswith(prefix)]
+
+        for prefix in ("cycles:", "output shape:"):
+            assert pick(out, prefix) == pick(plain, prefix)
+
+    @pytest.mark.parametrize("argv", [["run", "--compiled"],
+                                      ["serve", "--uncompiled"]])
+    def test_removed_flags_rejected(self, argv):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(argv)
