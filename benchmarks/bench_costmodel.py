@@ -1,14 +1,15 @@
-"""Closed-form cost model: predicted vs event-engine measured cycles.
+"""Cost report: predicted vs event-engine measured cycles.
 
-Differential accuracy of the calibrated analytic cost model
-(:mod:`repro.analysis.cost`): for a sweep of bitwidth pairs x blocking
-points x GEMM shapes, compare
-:func:`repro.analysis.cost.predict_gemm` (closed form, no engine
-execution after the one-off per-bitwidth calibration) against the
-cycle-faithful event engine running the same GEMM.  Smoke mode sweeps
-a representative subset; full mode covers every 2..8-bit pair.
+Differential check of :mod:`repro.analysis.cost`: for a sweep of
+bitwidth pairs x blocking points x GEMM shapes, compare
+:func:`repro.analysis.cost.predict_gemm` (the fast path's engine-timed
+tiles, one memoized engine run per tile signature and group count)
+against the cycle-faithful event engine running the whole GEMM.  Smoke
+mode sweeps a representative subset; full mode covers every 2..8-bit
+pair.  Predictions are exact by construction (36/36 smoke, 441/441
+full); the gate below only guards against a regression.
 
-Target (recorded in ``BENCH_costmodel.json`` at the repo root): median
+Gate (recorded in ``BENCH_costmodel.json`` at the repo root): median
 error < 1%, max error < 5% across the sweep.
 
 Run standalone for the full sweep::

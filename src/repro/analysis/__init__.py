@@ -19,10 +19,10 @@ Cooperating layers, surfaced together through ``repro check``:
   accumulator requirements tighter than the Eq. 5 worst case,
   verifying compiled plans preserve those ranges, and cross-checking
   them against observed runtime extrema.
-* **Cost analyzer** (:mod:`repro.analysis.cost`) -- a closed-form,
-  calibration-verified cycle model predicting per-layer cycles,
-  instruction counts and stall breakdowns without executing the event
-  engine; powers ``repro check --cost`` (COST-* diagnostics) and
+* **Cost analyzer** (:mod:`repro.analysis.cost`) -- per-layer cycles,
+  instruction counts and stall breakdowns read from the fast path's
+  engine-timed tiles and split by phase in closed form, without running
+  the GEMM; powers ``repro check --cost`` (COST-* diagnostics) and
   ``predict_graph_cycles()`` over compiled plans.
 
 Findings are :class:`~repro.analysis.diagnostics.Diagnostic` records

@@ -53,9 +53,9 @@ dispatch):
   integer literal assigned to (or passed as, or defaulted into) a
   name ending in ``cost``/``cycle(s)``/``latency``/``overhead``
   forks the single source of truth the engine, the fast path and the
-  calibrated cost model all read -- a constant edited anywhere else
-  would make the simulator and the closed-form predictor disagree
-  about what an instruction costs.
+  cost report's phase split all read -- a constant edited anywhere
+  else would make the simulator and the phase split disagree about
+  what an instruction costs.
 
 Suppress a finding with a trailing ``# repro: noqa`` (everything on the
 line) or ``# repro: noqa REP003`` / ``REP003,REP005`` (those rules).
@@ -490,9 +490,9 @@ class RepoInvariantVisitor(ast.NodeVisitor):
             "REP013", node, message,
             hint="cycle/latency constants live in the ISA cost table "
                  "(core/isa.py KernelCosts / BS_*_COST) or "
-                 "core/config.py: the calibrated cost model is keyed "
-                 "by their content digest, so a constant forked "
-                 "elsewhere silently invalidates every prediction",
+                 "core/config.py: the engine and the cost report's "
+                 "phase split both read them, so a constant forked "
+                 "elsewhere makes the two disagree",
         )
 
     def _check_cycle_cost_assign(self, target: ast.AST,

@@ -1,12 +1,8 @@
 """``repro check --cost``: cost-model diagnostics over a model graph.
 
-Three rules, all grounded in the calibrated closed-form model:
+Two rules, both grounded in the engine-timed cost report
+(:func:`~repro.analysis.cost.model.predict_gemm`):
 
-* **COST-MODEL-DRIFT** (error) -- the calibration for a layer's config
-  failed holdout verification: the engine's observed timing no longer
-  matches the affine law the model derives from the ISA cost table.
-  That means either the cost table or the engine changed without the
-  other, and every cycle number the repository reports is suspect.
 * **COST-BLOCKING-INEFFICIENT** (warning) -- the blocking a layer
   would deploy with is predicted at least
   :data:`INEFFICIENCY_THRESHOLD` slower than the best candidate in the
@@ -31,12 +27,7 @@ import math
 from typing import Optional
 
 from repro.analysis.contracts.overflow import node_config
-from repro.analysis.diagnostics import (
-    Diagnostic,
-    DiagnosticReport,
-    ERROR,
-    WARNING,
-)
+from repro.analysis.diagnostics import Diagnostic, DiagnosticReport, WARNING
 from repro.core.binseg import DEFAULT_MUL_WIDTH
 from repro.core.config import (
     BlockingParams,
@@ -45,14 +36,11 @@ from repro.core.config import (
 )
 from repro.core.isa import KernelCosts
 
-from .calibrate import get_tile_calibration
 from .graph import DEFAULT_ASSUMED_M
 from .model import predict_gemm
 
 #: rule id -> one-line description, for SARIF rule metadata and docs.
 COST_RULES: dict[str, str] = {
-    "COST-MODEL-DRIFT": "cost-model calibration no longer reproduces "
-                        "the event engine",
     "COST-BLOCKING-INEFFICIENT": "deployed blocking predicted well off "
                                  "the analytic optimum",
     "COST-IMBALANCE": "parallel worker slices have skewed predicted "
@@ -98,13 +86,12 @@ def check_cost(graph, *,
                assumed_m: int = DEFAULT_ASSUMED_M,
                costs: Optional[KernelCosts] = None,
                path: str = "") -> DiagnosticReport:
-    """Run the three COST-* checks over every quantized node."""
+    """Run the two COST-* checks over every quantized node."""
     if blocking is None:
         blocking = _runtime_blocking()
     if costs is None:
         costs = KernelCosts()
     report = DiagnosticReport()
-    drift_seen: set[str] = set()
     candidates = blocking_candidates()
     for label, node in zip(graph.effective_ids(), graph):
         if node.op not in _QUANT_OPS:
@@ -117,24 +104,6 @@ def check_cost(graph, *,
             continue  # structurally broken; the graph contract reports it
         groups = int(node.attrs.get("groups", 1)) or 1
         n = max(1, n_out // groups)
-
-        calibration = get_tile_calibration(config, costs)
-        if not calibration.exact and config.name not in drift_seen:
-            drift_seen.add(config.name)
-            report.add(Diagnostic(
-                rule="COST-MODEL-DRIFT", severity=ERROR,
-                message=(
-                    f"{node.op} ({config.name}): calibration failed "
-                    f"holdout verification -- the engine's observed tile "
-                    f"timing no longer matches the affine law derived "
-                    f"from the ISA cost table"
-                ),
-                hint="the cost table (core/isa.py) and the engine "
-                     "(core/microengine.py) disagree; change whichever "
-                     "is wrong so the closed form reproduces the engine "
-                     "again",
-                node=label, path=path,
-            ))
 
         deployed = predict_gemm(config, costs, assumed_m, n, k).cycles
         best_cycles = deployed

@@ -2,13 +2,13 @@
 
 :func:`predict_graph_cycles` walks a compiled plan's bound GEMM
 executors (the same objects ``plan.run()`` dispatches to) and predicts
-each quantized layer's cycles with the calibrated closed-form model --
-no engine execution, no inference run.  The static IR does not know
-the spatial extent of a layer's activations (M is batch- and
-geometry-dependent), so callers either accept the documented
-``assumed_m`` default -- blocking *ranking* is M-invariant in the
-leading term, which is all the checker needs -- or pass per-layer row
-counts (``repro run`` derives them from the measured
+each quantized layer's cycles with the engine-timed cost report
+(:func:`~repro.analysis.cost.model.predict_gemm`) -- no inference run.
+The static IR does not know the spatial extent of a layer's activations
+(M is batch- and geometry-dependent), so callers either accept the
+documented ``assumed_m`` default -- blocking *ranking* is M-invariant
+in the leading term, which is all the checker needs -- or pass
+per-layer row counts (``repro run`` derives them from the measured
 per-layer MAC counts).
 """
 
@@ -119,7 +119,8 @@ def predict_graph_cycles(plan, *,
     ``layer_rows`` maps a step's ``stats_label`` to its true GEMM row
     count (M); layers not listed fall back to ``assumed_m``.  The group
     GEMMs of one layer share (config, N, K), so each layer costs one
-    O(1) closed-form evaluation regardless of its group count.
+    memoized :func:`~repro.analysis.cost.model.predict_gemm` call
+    regardless of its group count.
     """
     if costs is None:
         costs = KernelCosts()

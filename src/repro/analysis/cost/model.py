@@ -1,35 +1,26 @@
-"""Closed-form per-phase cycle model of the Mix-GEMM micro-kernel.
+"""Per-phase cycle report of the Mix-GEMM micro-kernel.
 
-The event engine's micro-kernel timing is a pure function of
-``(config, costs, n_groups)`` (data independence + translation
-invariance, see :mod:`repro.core.fastpath`), and its structure makes the
-per-tile CPU cycles **exactly affine** in the group count ``g``::
+The whole-GEMM cycles, stall split and PMU counters are the fast path's
+own engine-timed numbers: :func:`predict_gemm` reads
+:func:`repro.core.fastpath.fastpath_timing`, which assembles the blocked
+loop from one event-engine run per tile signature and group count
+(:func:`repro.core.fastpath.tile_timing`).  Predictions are therefore
+exact by construction -- the same tiles the fast backend reports.
 
-    cpu_cycles(g) = S * g + K        for every g >= 1
+What this module adds is the split of those cycles into the phases of
+Algorithm 1, each a closed form over the ISA cost table
+(:mod:`repro.core.isa`) and the blocked loop geometry:
 
-with the steady-state slope ``S = max(C, E)`` fully analytic:
+* *stage* -- per k-group operand staging (``kgroup_overhead`` + one
+  ``load_cost`` per u-vector load into the RF);
+* *issue* -- per k-group, for each of the ``T = mr * nr`` register-tile
+  cells, the inner-loop overhead and ``max(kua, kub)`` single-issue
+  ``bs.ip`` instructions (Algorithm 1 lines 5-9);
+* *collect* -- ``T`` ``bs.get`` per tile per kc-block;
+* *epilogue* -- the ``m * n`` C updates per kc-block.
 
-* ``C`` -- CPU issue cycles per k-group: the per-group operand staging
-  (``kgroup_overhead`` + one ``load_cost`` per u-vector load into the
-  RF) plus, for each of the ``T = mr * nr`` register-tile cells, the
-  inner-loop overhead and ``max(kua, kub)`` single-issue ``bs.ip``
-  instructions (Algorithm 1 lines 5-9);
-* ``E`` -- engine execution cycles per k-group: ``T`` groups through
-  the DSU/multiplier pipeline at
-  :func:`~repro.core.microengine.group_cycles` each (the Eq. 5 / Fig. 4
-  group structure).
-
-When the engine is the bottleneck (``E > C``) the micro-kernel is
-drained at the engine rate and the surplus surfaces as buffer-full /
-``bs.get`` stalls; when the CPU is the bottleneck the engine hides
-entirely.  Either way the *total* is ``max`` -- only the pipeline
-fill/drain intercept ``K`` and the split of the stall total between the
-two PMU stall counters need calibration against instrumented engine
-probes (:mod:`repro.analysis.cost.calibrate`).
-
-Instruction and MAC counters are exact closed forms (no calibration):
-per tile of ``g`` groups, ``g*T*max(kua,kub)`` bs.ip, ``T`` bs.get,
-``g*T`` groups, ``g*T*group_elements`` issued MACs.
+The engine-reported stalls (buffer-full and ``bs.get``) close the
+identity ``cycles = set + stage + issue + collect + epilogue + stalls``.
 
 All quantities are CPU cycles of the modelled in-order core unless a
 field name says otherwise.
@@ -38,12 +29,15 @@ field name says otherwise.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 from repro.core.config import MixGemmConfig
-from repro.core.fastpath import gemm_tile_counts, kblock_group_counts
+from repro.core.fastpath import (
+    fastpath_timing,
+    gemm_tile_counts,
+    kblock_group_counts,
+)
 from repro.core.isa import BS_GET_COST, BS_IP_COST, BS_SET_COST, KernelCosts
-from repro.core.microengine import group_cycles
 
 
 def tile_stage_cycles(config: MixGemmConfig, costs: KernelCosts) -> int:
@@ -63,35 +57,10 @@ def tile_ip_cycles(config: MixGemmConfig, costs: KernelCosts) -> int:
     return tile * (costs.inner_loop_overhead + ku_iters * BS_IP_COST)
 
 
-def tile_issue_cycles(config: MixGemmConfig, costs: KernelCosts) -> int:
-    """``C``: total stall-free CPU issue cycles per k-group."""
-    return tile_stage_cycles(config, costs) + tile_ip_cycles(config, costs)
-
-
-def tile_engine_cycles(config: MixGemmConfig) -> int:
-    """``E``: engine busy cycles per k-group (``T`` DSU group walks)."""
-    blk = config.blocking
-    return blk.mr * blk.nr * group_cycles(config)
-
-
-def tile_slope(config: MixGemmConfig, costs: KernelCosts) -> int:
-    """``S = max(C, E)``: steady-state CPU cycles per k-group."""
-    return max(tile_issue_cycles(config, costs),
-               tile_engine_cycles(config))
-
-
 def tile_collect_cycles(config: MixGemmConfig) -> int:
     """bs.get issue cycles of one tile's collection loop (C excluded)."""
     blk = config.blocking
     return blk.mr * blk.nr * BS_GET_COST
-
-
-#: Signature of a per-tile timing function: ``f(n_groups)`` returning
-#: an object with the :class:`~repro.core.fastpath.MicroKernelTiming`
-#: fields.  :mod:`.calibrate` provides the calibrated closed form; the
-#: engine run :func:`repro.core.fastpath.tile_timing` (bound to a
-#: config and costs) is the ground truth it is fitted against.
-TileFn = Callable[[int], object]
 
 
 @dataclass(frozen=True)
@@ -170,70 +139,35 @@ class CostBreakdown:
 
 
 def predict_gemm(config: MixGemmConfig, costs: Optional[KernelCosts],
-                 m: int, n: int, k: int, *,
-                 tile_fn: Optional[TileFn] = None) -> CostBreakdown:
-    """Predict one GEMM's cycles/counters without touching the engine.
+                 m: int, n: int, k: int) -> CostBreakdown:
+    """One GEMM's engine-timed cycles and counters, split by phase.
 
-    Mirrors the blocked assembly of
-    :func:`~repro.core.fastpath.fastpath_timing` over the same loop
-    geometry -- one ``bs.set``, then per kc-block ``tiles * tile(g)``
-    plus the ``m * n`` C-update epilogue -- but sources the per-tile
-    timing from the calibrated closed form instead of an engine run.
-    ``tile_fn`` overrides the per-tile timing (the differential tests
-    inject the engine reference to bound the model error); by default
-    the calibrated predictor from :mod:`.calibrate` is used, which
-    probes the engine at most once per tile signature and cost-table
-    digest per process.
+    Cycles, stalls and every PMU counter are
+    :func:`~repro.core.fastpath.fastpath_timing` (memoized per shape,
+    one engine run per tile signature and group count); the phase
+    split adds the closed forms above over the same loop geometry.
     """
     if costs is None:
         costs = KernelCosts()
-    if tile_fn is None:
-        from .calibrate import calibrated_tile_fn
-
-        tile_fn = calibrated_tile_fn(config, costs)
+    timing = fastpath_timing(config, costs, m, n, k)
     row_tiles, col_tiles = gemm_tile_counts(config, m, n)
     tiles = row_tiles * col_tiles
-    stage = tile_stage_cycles(config, costs)
-    ip = tile_ip_cycles(config, costs)
-    collect = tile_collect_cycles(config)
     kblocks = kblock_group_counts(config, k)
-
-    cycles = BS_SET_COST
-    stage_total = issue_total = collect_total = epilogue_total = 0
-    stalls_full = stalls_get = busy = groups = macs = ips = gets = 0
-    timing_by_g: dict[int, object] = {}
-    for n_groups in kblocks:
-        tile = timing_by_g.get(n_groups)
-        if tile is None:
-            tile = tile_fn(n_groups)
-            timing_by_g[n_groups] = tile
-        cycles += (tiles * tile.cpu_cycles
-                   + m * n * costs.c_update_cost)
-        stage_total += tiles * n_groups * stage
-        issue_total += tiles * n_groups * ip
-        collect_total += tiles * collect
-        epilogue_total += m * n * costs.c_update_cost
-        stalls_full += tiles * tile.buffer_full_stall_cycles
-        stalls_get += tiles * tile.get_stall_cycles
-        busy += tiles * tile.engine_busy_cycles
-        groups += tiles * tile.groups
-        macs += tiles * tile.macs
-        ips += tiles * tile.ip_instructions
-        gets += tiles * tile.get_instructions
+    tile_groups = tiles * sum(kblocks)
     return CostBreakdown(
         m=m, n=n, k=k, config=config.name,
-        cycles=cycles,
+        cycles=timing.cycles,
         set_cycles=BS_SET_COST,
-        stage_cycles=stage_total,
-        issue_cycles=issue_total,
-        collect_cycles=collect_total,
-        epilogue_cycles=epilogue_total,
-        buffer_full_stall_cycles=stalls_full,
-        get_stall_cycles=stalls_get,
-        engine_busy_cycles=busy,
-        groups=groups,
-        macs_issued=macs,
-        ip_instructions=ips,
-        get_instructions=gets,
+        stage_cycles=tile_groups * tile_stage_cycles(config, costs),
+        issue_cycles=tile_groups * tile_ip_cycles(config, costs),
+        collect_cycles=tiles * len(kblocks) * tile_collect_cycles(config),
+        epilogue_cycles=len(kblocks) * m * n * costs.c_update_cost,
+        buffer_full_stall_cycles=timing.buffer_full_stall_cycles,
+        get_stall_cycles=timing.get_stall_cycles,
+        engine_busy_cycles=timing.engine_busy_cycles,
+        groups=timing.groups,
+        macs_issued=timing.macs,
+        ip_instructions=timing.ip_instructions,
+        get_instructions=timing.get_instructions,
         set_instructions=1,
     )

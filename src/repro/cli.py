@@ -120,7 +120,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         # execution, so show the per-GEMM prediction next to it.
         predicted = {lc.label: lc.breakdown.cycles for lc in cost.layers}
         print(f"cost model: {cost.total_cycles} predicted cycles "
-              f"(closed form, no engine execution)")
+              f"(engine-timed tiles, split by phase)")
     if result.layer_stats:
         width = max(len(s.layer) for s in result.layer_stats)
         print("per-layer:")
@@ -604,8 +604,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "wrap verdicts) as JSON to PATH")
     p.add_argument("--cost", action="append", default=[],
                    metavar="MODEL.json",
-                   help="closed-form cost analysis of a serialized "
-                        "GraphModel: COST-MODEL-DRIFT / "
+                   help="cost analysis of a serialized GraphModel: "
                         "COST-BLOCKING-INEFFICIENT / COST-IMBALANCE "
                         "findings (repeatable)")
     p.add_argument("--cost-workers", type=int, default=1,

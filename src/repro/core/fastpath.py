@@ -31,16 +31,16 @@ logic only looks at counts and arrival times, never word values) and
 translation invariant (each micro-kernel starts with the CPU at or past
 the engine, empty queues, and all buffer releases in the past, because
 the collection loop drains the engine).  One micro-kernel execution is
-therefore a pure function of ``(config, costs, n_groups)``, so
+therefore a pure function of the tile signature
+(:func:`tile_signature`), the cost table and ``n_groups``, so
 :func:`tile_timing` runs the real engine once on zero panels per
-distinct signature and the whole-GEMM totals are assembled
-arithmetically over the blocked loop geometry
-(:func:`gemm_tile_counts`, :func:`kblock_group_counts`).  The
-calibrated closed-form model in :mod:`repro.analysis.cost` fits itself
-against the same :func:`tile_timing` runs but never feeds the fast
-path: the engine is its only timing source.  The C-update cycles are
-added analytically: with ``mc % mr == 0`` and ``nc % nr == 0`` the
-in-range cells of each kc-block sum to exactly ``m * n``.
+distinct key and the whole-GEMM totals are assembled arithmetically
+over the blocked loop geometry (:func:`gemm_tile_counts`,
+:func:`kblock_group_counts`).  The engine is the only timing source:
+the per-phase cost report in :mod:`repro.analysis.cost` reads the same
+:func:`fastpath_timing`.  The C-update cycles are added analytically:
+with ``mc % mr == 0`` and ``nc % nr == 0`` the in-range cells of each
+kc-block sum to exactly ``m * n``.
 
 The timing source *is* the production micro-kernel, so cycles, PMU
 counters and instruction counts match the event backend exactly -- the
@@ -54,7 +54,7 @@ backend instead; :mod:`repro.core.backend` makes that routing decision.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -153,14 +153,50 @@ class FastPathTiming:
         )
 
 
-@functools.lru_cache(maxsize=None)
+def tile_signature(config: MixGemmConfig) -> tuple:
+    """Everything one micro-kernel's timing depends on.
+
+    The operand formats (bitwidths and signedness), the u-vector
+    geometry (``word_bits``, ``kua``/``kub``), the engine datapath
+    (``mul_width``, ``source_buffer_depth``) and the register tile
+    (``mr``/``nr``).  The cache blocking (mc/nc/kc), the AccMem width and
+    the backend are deliberately left out: one micro-kernel times one
+    register tile of ``n_groups`` full groups, so configs differing only
+    in those share one engine run.
+    """
+    lay = config.layout
+    blk = config.blocking
+    return (config.bw_a, config.bw_b, config.signed_a, config.signed_b,
+            config.word_bits, config.mul_width, config.source_buffer_depth,
+            lay.kua, lay.kub, blk.mr, blk.nr)
+
+
+#: (tile signature, costs, n_groups) -> engine-timed micro-kernel.
+_TILE_TIMINGS: dict[tuple, MicroKernelTiming] = {}
+
+
 def tile_timing(config: MixGemmConfig, costs: "KernelCosts",
                 n_groups: int) -> MicroKernelTiming:
-    """Run the real micro-kernel once on zero panels and record deltas.
+    """One micro-kernel's deltas, memoized by tile signature.
 
     The one per-tile timing source: :func:`fastpath_timing` assembles
-    whole GEMMs from it and cost-model calibration
-    (:func:`repro.analysis.cost.calibrate.calibrate_tile`) probes it.
+    whole GEMMs from it, and through that the fast backend, compiled
+    plans and the cost report of :mod:`repro.analysis.cost` all read
+    it.  The engine runs once per ``(tile_signature(config), costs,
+    n_groups)`` per process (two threads missing at once both run it and
+    store the same value).
+    """
+    key = (tile_signature(config), costs, n_groups)
+    timing = _TILE_TIMINGS.get(key)
+    if timing is None:
+        timing = _run_tile(config, costs, n_groups)
+        _TILE_TIMINGS[key] = timing
+    return timing
+
+
+def _run_tile(config: MixGemmConfig, costs: "KernelCosts",
+              n_groups: int) -> MicroKernelTiming:
+    """Run the real micro-kernel once on zero panels and record deltas.
 
     ``n_groups`` is the per-tile group count of one kc-block; the engine
     always schedules *full* groups (tail groups keep the full DSU walk),
@@ -284,14 +320,13 @@ def fastpath_timing(config: MixGemmConfig, costs: "KernelCosts", m: int,
     look the whole-GEMM timing up once and reuse it on every call.
     Caller must have cleared :func:`fastpath_applicable` first.
     """
-    tile_config = replace(config, backend="event")
     row_tiles, col_tiles = gemm_tile_counts(config, m, n)
     tiles_per_kblock = row_tiles * col_tiles
 
     cycles = BS_SET_COST  # the single bs.set
     stalls_full = stalls_get = busy = groups = macs = ips = gets = 0
     for n_groups in kblock_group_counts(config, k):
-        tile = tile_timing(tile_config, costs, n_groups)
+        tile = tile_timing(config, costs, n_groups)
         cycles += (tiles_per_kblock * tile.cpu_cycles
                    + m * n * costs.c_update_cost)
         stalls_full += tiles_per_kblock * tile.buffer_full_stall_cycles

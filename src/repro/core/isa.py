@@ -44,14 +44,6 @@ BS_IP_COST = 1
 #: engine to drain are modelled separately).
 BS_GET_COST = 1
 
-#: mnemonic -> issue cycles; the content the cost-model calibration
-#: cache is keyed by (together with :class:`KernelCosts`).
-ISA_COST_TABLE = {
-    "bs.set": BS_SET_COST,
-    "bs.ip": BS_IP_COST,
-    "bs.get": BS_GET_COST,
-}
-
 
 @dataclass(frozen=True)
 class KernelCosts:
@@ -77,10 +69,10 @@ class KernelCosts:
     cross-configuration scaling then *emerges* from the DSU schedule.
 
     Lives next to the bs.* encodings because it *is* the rest of the ISA
-    cost table: together with :data:`ISA_COST_TABLE` these fields are the
-    only primitive cycle constants in the repository (REP013), and the
-    closed-form cost model (:mod:`repro.analysis.cost`) derives every
-    per-phase term from them.
+    cost table: together with the ``BS_*_COST`` constants these fields are
+    the only primitive cycle constants in the repository (REP013); the
+    engine charges them, and the cost report (:mod:`repro.analysis.cost`)
+    derives its per-phase split from them.
     """
 
     load_cost: int = 1

@@ -42,8 +42,8 @@ from .packcache import PackingCache
 
 #: Barrier cost per synchronization point (cycles): a sense-reversing
 #: barrier over a snoopy bus at edge-SoC scale.  An SoC interconnect
-#: parameter, not a u-kernel issue cost, so it stays outside the
-#: calibrated cost model's digest.
+#: parameter, not a u-kernel issue cost, so it stays outside the ISA
+#: cost table.
 DEFAULT_BARRIER_CYCLES = 200  # repro: noqa REP013
 
 

@@ -27,7 +27,6 @@ from repro.core.config import (
     MixGemmConfig,
     BlockingParams,
     all_size_combinations,
-    elements_per_uvector,
     select_ku,
 )
 from repro.core.gemm import MixGemm
@@ -165,62 +164,6 @@ def buffer_depth_study(
             cycles=total_cycles,
         ))
     return results
-
-
-# ---------------------------------------------------------------------------
-# Analytic bitwidth sweep (closed-form cost model)
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class AnalyticSweepPoint:
-    """Predicted performance of one bitwidth pair, no engine execution."""
-
-    bw_a: int
-    bw_b: int
-    cycles: int
-    macs: int
-    macs_per_cycle: float
-    buffer_stall_fraction: float
-    get_stall_fraction: float
-
-
-def analytic_bitwidth_sweep(
-    configs: list[tuple[int, int]] | None = None,
-    *,
-    gemm_size: tuple[int, int, int] = (16, 16, 768),
-    blocking: BlockingParams | None = None,
-) -> list[AnalyticSweepPoint]:
-    """Sweep bitwidth pairs through the calibrated closed-form cost model.
-
-    The event-engine counterpart of this study
-    (:func:`buffer_depth_study`) simulates every cycle; this one calls
-    :func:`repro.analysis.cost.predict_gemm` instead -- O(1) per point
-    once the per-bitwidth tile calibrations are warm -- so it scales to
-    production GEMM sizes the simulator cannot touch.  The predictions
-    are differentially tested against the engine in the cost-model test
-    suite.
-    """
-    from repro.analysis.cost import predict_gemm
-
-    if configs is None:
-        configs = [(8, 8), (8, 4), (6, 4), (4, 4), (3, 2), (2, 2)]
-    if blocking is None:
-        blocking = BlockingParams(mc=16, nc=16, kc=64)
-    m, n, k = gemm_size
-    points = []
-    for bw_a, bw_b in configs:
-        cfg = MixGemmConfig(bw_a=bw_a, bw_b=bw_b, blocking=blocking)
-        bd = predict_gemm(cfg, None, m, n, k)
-        cycles = max(bd.cycles, 1)
-        points.append(AnalyticSweepPoint(
-            bw_a=bw_a, bw_b=bw_b, cycles=bd.cycles,
-            macs=bd.macs_issued,
-            macs_per_cycle=bd.macs_issued / cycles,
-            buffer_stall_fraction=bd.buffer_full_stall_cycles / cycles,
-            get_stall_fraction=bd.get_stall_cycles / cycles,
-        ))
-    return points
 
 
 # ---------------------------------------------------------------------------

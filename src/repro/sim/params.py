@@ -80,20 +80,8 @@ class MemoryCosts:
     cache_utilization: float = 0.75
 
 
-@dataclass(frozen=True)
-class MixKernelCosts:
-    """Scalar-core costs around the bs.* intrinsics (u-kernel loop)."""
-
-    load: float = 1.0            # u-vector load hitting L1/RF
-    inner_overhead: float = 4.0  # per (i, j) innermost iteration
-    kgroup_overhead: float = 4.0  # LoadNextAddress pointer bumps
-    get: float = 1.0
-    c_update: float = 3.0
-
-
 DEFAULT_SCALAR_COSTS = ScalarCosts()
 DEFAULT_MEMORY_COSTS = MemoryCosts()
-DEFAULT_MIX_COSTS = MixKernelCosts()
 
 #: Accumulator width in bytes: int32 for quantized GEMM, fp64 for DGEMM.
 INT_ACC_BYTES = 4

@@ -12,10 +12,14 @@ Predicts cycle counts for arbitrarily large GEMMs by composing:
   stalls under the BLIS blocking.
 
 Within one k-group the Source Buffers decouple CPU and engine, so the
-slower of the two sets the pace (``max(engine, cpu)``); the event-driven
-:class:`~repro.core.microengine.MicroEngine` validates this composition on
-small problems in the test-suite (the two models must agree within a few
-percent).
+slower of the two sets the pace (``max(engine, cpu)``).  The scalar-core
+costs are the ISA cost table (:class:`~repro.core.isa.KernelCosts`) the
+event engine charges, but the composition is a paper-calibrated
+approximation of the engine, not a replay of it: it counts valid
+outputs only (edge tiles are not padded), gives a short tail group a
+short schedule, and has no pipeline fill/drain intercept.  Its test
+against the event-driven :class:`~repro.core.microengine.MicroEngine`
+allows 15%.
 """
 
 from __future__ import annotations
@@ -24,17 +28,16 @@ import math
 from dataclasses import dataclass
 
 from repro.core.config import MixGemmConfig
+from repro.core.isa import KernelCosts
 from repro.core.microengine import group_cycles
 from repro.core.packing import aligned_kc
 
 from .memory import TrafficBreakdown, gemm_traffic
 from .params import (
     DEFAULT_MEMORY_COSTS,
-    DEFAULT_MIX_COSTS,
     INT_ACC_BYTES,
     PAPER_SOC,
     MemoryCosts,
-    MixKernelCosts,
     SocParams,
 )
 
@@ -128,11 +131,9 @@ class MixGemmPerfModel:
         self,
         soc: SocParams = PAPER_SOC,
         *,
-        costs: MixKernelCosts = DEFAULT_MIX_COSTS,
         mem_costs: MemoryCosts = DEFAULT_MEMORY_COSTS,
     ) -> None:
         self.soc = soc
-        self.costs = costs
         self.mem_costs = mem_costs
 
     def gemm(self, m: int, n: int, k: int,
@@ -142,7 +143,7 @@ class MixGemmPerfModel:
             raise ValueError(f"degenerate GEMM {m}x{n}x{k}")
         blk = config.blocking
         lay = config.layout
-        costs = self.costs
+        costs = KernelCosts()
 
         ge = lay.group_elements
         full_groups, rem = divmod(k, ge)
@@ -167,18 +168,18 @@ class MixGemmPerfModel:
         ku_iters = max(lay.kua, lay.kub)
         slots = blk.mr * blk.nr
         cpu_full = (
-            costs.load * (lay.kua * blk.mr + lay.kub * blk.nr)
+            costs.load_cost * (lay.kua * blk.mr + lay.kub * blk.nr)
             + costs.kgroup_overhead
-            + slots * (ku_iters + costs.inner_overhead)
+            + slots * (ku_iters + costs.inner_loop_overhead)
         )
         per_pair_cpu = full_groups * cpu_full / slots
         if rem:
             wa = math.ceil(rem / lay.elems_a)
             wb = math.ceil(rem / lay.elems_b)
             cpu_rem = (
-                costs.load * (wa * blk.mr + wb * blk.nr)
+                costs.load_cost * (wa * blk.mr + wb * blk.nr)
                 + costs.kgroup_overhead
-                + slots * (max(wa, wb) + costs.inner_overhead)
+                + slots * (max(wa, wb) + costs.inner_loop_overhead)
             )
             per_pair_cpu += cpu_rem / slots
 
@@ -188,7 +189,8 @@ class MixGemmPerfModel:
 
         # Collection + C update: one bs.get + accumulate per output per
         # k-block.
-        collection = outputs * k_blocks * (costs.get + costs.c_update)
+        collection = outputs * k_blocks * (costs.get_cost
+                                           + costs.c_update_cost)
 
         traffic = gemm_traffic(
             m, n, k,

@@ -158,75 +158,3 @@ class WideSimdPerfModel(MixGemmPerfModel):
             traffic=base.traffic,
             freq_ghz=base.freq_ghz,
         )
-
-
-# ---------------------------------------------------------------------------
-# Simulator-backed multi-core measurement
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class MeasuredScalingPoint:
-    """One core count, measured on the bit-exact simulator."""
-
-    cores: int
-    cycles: int
-    macs: int
-    single_core_cycles: int
-
-    @property
-    def speedup(self) -> float:
-        return self.single_core_cycles / self.cycles
-
-    @property
-    def efficiency(self) -> float:
-        return self.speedup / self.cores
-
-
-def measured_multicore_scaling(
-    core_counts: tuple[int, ...] = (1, 2, 4),
-    *,
-    config: MixGemmConfig | None = None,
-    gemm_size: tuple[int, int, int] = (32, 64, 384),
-    seed: int = 0,
-    backend: str = "auto",
-) -> list[MeasuredScalingPoint]:
-    """Measure multi-core scaling on the simulator, not the closed form.
-
-    Complements :class:`MultiCorePerfModel`: instead of an analytic
-    memory-contention estimate, this runs the actual
-    :class:`~repro.core.parallel.ParallelMixGemm` (one u-engine per
-    core, N-sliced, barrier at the end) on a random GEMM and reports the
-    measured per-core-maximum cycle counts.  Defaults to ``auto``
-    backend dispatch -- the fast path makes whole sweeps practical --
-    with cycle counts identical to an all-event run by construction.
-    """
-    import numpy as np
-
-    from repro.core.parallel import ParallelMixGemm
-
-    if config is None:
-        from repro.core.config import BlockingParams
-
-        config = MixGemmConfig(blocking=BlockingParams(mc=16, nc=16, kc=64))
-    rng = np.random.default_rng(seed)
-    m, n, k = gemm_size
-    a = rng.integers(-(1 << (config.bw_a - 1)), 1 << (config.bw_a - 1),
-                     size=(m, k))
-    b = rng.integers(-(1 << (config.bw_b - 1)), 1 << (config.bw_b - 1),
-                     size=(k, n))
-    points: list[MeasuredScalingPoint] = []
-    baseline: int | None = None
-    for cores in core_counts:
-        result = ParallelMixGemm(config, cores=cores,
-                                 backend=backend).gemm(a, b)
-        if baseline is None:
-            single = (result.cycles if cores == 1 else
-                      ParallelMixGemm(config, cores=1,
-                                      backend=backend).gemm(a, b).cycles)
-            baseline = single
-        points.append(MeasuredScalingPoint(
-            cores=cores, cycles=result.cycles, macs=result.macs,
-            single_core_cycles=baseline,
-        ))
-    return points

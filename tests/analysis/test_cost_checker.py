@@ -1,19 +1,10 @@
-"""COST-* diagnostics: drift, blocking inefficiency, slice imbalance."""
+"""COST-* diagnostics: blocking inefficiency, slice imbalance."""
 
 import numpy as np
-import pytest
 
 from repro.analysis.cost import check_cost, check_cost_file
-from repro.analysis.cost.calibrate import clear_calibration_memo
 from repro.core.config import BlockingParams
 from repro.runtime.graph import GraphModel, NodeSpec
-
-
-@pytest.fixture(autouse=True)
-def _fresh_calibration_memo():
-    clear_calibration_memo()
-    yield
-    clear_calibration_memo()
 
 
 def _linear_graph(n_out=16, k=256, bits=8):
@@ -81,30 +72,6 @@ class TestImbalance:
         report = check_cost(_linear_graph(n_out=4), workers=1)
         assert "COST-IMBALANCE" not in \
             [d.rule for d in report.diagnostics]
-
-
-class TestDrift:
-    def test_inexact_calibration_reports_drift_once_per_config(
-            self, monkeypatch):
-        import repro.analysis.cost.checker as checker_mod
-
-        real = checker_mod.get_tile_calibration
-
-        def inexact(config, costs=None):
-            import dataclasses
-            return dataclasses.replace(real(config, costs), exact=False)
-
-        monkeypatch.setattr(checker_mod, "get_tile_calibration", inexact)
-        graph = GraphModel(nodes=[_linear_graph().nodes[0],
-                                  _linear_graph().nodes[0]],
-                           name="two-linears")
-        report = check_cost(graph)
-        drift = [d for d in report.diagnostics
-                 if d.rule == "COST-MODEL-DRIFT"]
-        assert len(drift) == 1
-        assert drift[0].severity == "error"
-        assert "core/isa.py" in drift[0].hint
-        assert "cache" not in drift[0].hint
 
 
 class TestFileEntry:

@@ -457,3 +457,37 @@ class TestTimingSource:
                               capture_output=True, text=True, timeout=120)
         assert done.returncode == 0, done.stderr
         assert done.stdout.strip() == "[]"
+
+    def test_one_engine_run_per_tile_signature(self, monkeypatch):
+        """Configs differing only in mc/nc/kc, AccMem width or backend
+        share one engine run, and that run times each of them exactly."""
+        from dataclasses import replace
+
+        from repro.core import fastpath
+
+        runs = []
+        real = fastpath._run_tile
+
+        def counting(config, costs, n_groups):
+            runs.append(config)
+            return real(config, costs, n_groups)
+
+        monkeypatch.setattr(fastpath, "_TILE_TIMINGS", {})
+        monkeypatch.setattr(fastpath, "_run_tile", counting)
+        costs = KernelCosts()
+        base = make_config(bw_a=6, bw_b=4, accmem_bits=32)
+        variants = [
+            base,
+            replace(base, blocking=BlockingParams(
+                mc=16, nc=32, kc=256, mr=4, nr=4)),
+            replace(base, accmem_bits=64),
+            replace(base, backend="fast"),
+        ]
+        timings = {fastpath.tile_timing(cfg, costs, 5) for cfg in variants}
+        assert len(runs) == 1 and len(timings) == 1
+        for cfg in variants[1:]:
+            assert real(cfg, costs, 5) in timings
+        fastpath.tile_timing(make_config(bw_a=4, bw_b=6), costs, 5)
+        fastpath.tile_timing(replace(base, blocking=BlockingParams(
+            mc=8, nc=8, kc=2, mr=2, nr=4)), costs, 5)
+        assert len(runs) == 3
