@@ -15,6 +15,12 @@ Per step it checks:
   bound GEMM's weight operand (reassembled, uncast, from the fast
   kernel's kc-blocks, or the event executor's B matrix) and the
   analyzer's independently quantized panel;
+* **K order** -- a conv step that declares the channels-last
+  ``(kh, kw, c)`` K order is checked against the source quantization
+  with its rows permuted the same way (the permutation is derived from
+  the step's ``(cpg, kh, kw)``, not read from the plan), and such
+  a panel must not sit in a GEMM whose AccMem wraps over more than one
+  kc-block: permuting K there moves products across the wrap points;
 * **wrap behavior** -- the bound GEMM's ``accmem_bits`` and kc-block
   split boundaries match the analysis (same wrap granularity implies
   the same two's-complement semantics);
@@ -38,7 +44,12 @@ from typing import Optional
 import numpy as np
 
 from repro.analysis.diagnostics import Diagnostic, ERROR
-from repro.core.config import BlockingParams
+from repro.core.config import ACCMEM_CONTAINER_BITS, BlockingParams
+from repro.nn.im2col import (
+    K_ORDER_CHANNELS_LAST,
+    K_ORDER_IM2ROW,
+    channels_last_order,
+)
 
 from .analyzer import RangeAnalysis, analyze_graph
 from .domain import TensorRange
@@ -66,9 +77,29 @@ def _bound_gemm_panel(gemm) -> np.ndarray:
     return np.asarray(gemm._b)
 
 
+def _k_permutation(step) -> Optional[np.ndarray]:
+    """Row permutation from the source panel's ``(c, kh, kw)`` K order to
+    the step's declared one, derived from the step's ``(cpg, kh, kw)``;
+    ``None`` when the step keeps the source order.  Raises
+    ``ValueError`` on an order this module does not know.
+    """
+    order = getattr(step, "k_order", K_ORDER_IM2ROW)
+    if order == K_ORDER_IM2ROW:
+        return None
+    if order != K_ORDER_CHANNELS_LAST:
+        raise ValueError(f"unknown K order {order!r}")
+    return channels_last_order(step.cpg, step.kh, step.kw)
+
+
 def _check_bound_gemm(gemm, panel_ref: np.ndarray, rec, step_label: str,
-                      group: int, path: str) -> list[Diagnostic]:
-    """One bound executor vs the analyzer's independent derivation."""
+                      group: int, path: str, permuted: bool = False
+                      ) -> list[Diagnostic]:
+    """One bound executor vs the analyzer's independent derivation.
+
+    ``permuted``: ``panel_ref`` already carries the step's channels-last
+    K order, which is exact only where the GEMM's result cannot depend
+    on the K order.
+    """
     diags: list[Diagnostic] = []
     where = f"group {group}" if rec.group_count > 1 else "its GEMM"
     if gemm.config.accmem_bits != rec.accmem_bits:
@@ -79,6 +110,16 @@ def _check_bound_gemm(gemm, panel_ref: np.ndarray, rec, step_label: str,
             f"{rec.accmem_bits}",
             hint="compile and analyze with the same accmem_bits"))
         return diags
+    if (permuted and len(rec.blocks[group]) > 1
+            and rec.accmem_bits < ACCMEM_CONTAINER_BITS):
+        diags.append(_diag(
+            step_label, path,
+            f"{where}: K rows permuted to the channels-last order in a "
+            f"GEMM of {len(rec.blocks[group])} kc-blocks whose "
+            f"{rec.accmem_bits}-bit AccMem wraps; wrap points would "
+            f"move",
+            hint="keep the im2row (c, kh, kw) K order for wrapping "
+                 "multi-block GEMMs"))
     panel = _bound_gemm_panel(gemm)
     if panel.shape != panel_ref.shape:
         diags.append(_diag(
@@ -207,10 +248,18 @@ def verify_plan(plan, *,
                     f"plan binds {len(gemms)} GEMM executors but the "
                     f"analysis derived {rec.group_count} groups"))
             else:
+                try:
+                    perm = _k_permutation(step)
+                except ValueError as exc:
+                    diags.append(_diag(step.label, path, str(exc)))
+                    gemms = []
                 for g, gemm in enumerate(gemms):
+                    panel_ref = rec.weights_q[g]
+                    if perm is not None:
+                        panel_ref = panel_ref[perm]
                     diags.extend(_check_bound_gemm(
-                        gemm, rec.weights_q[g], rec, step.label, g,
-                        path))
+                        gemm, panel_ref, rec, step.label, g, path,
+                        permuted=perm is not None))
             scale = getattr(step, "_out_scale", None)
             bias = getattr(step, "_bias", None)
             shift = bias if bias is not None else 0.0

@@ -79,7 +79,6 @@ class KernelCosts:
     inner_loop_overhead: int = 4
     kgroup_overhead: int = 4
     c_update_cost: int = 3
-    get_cost: int = 1
 
 
 class BsFunct3(enum.IntEnum):

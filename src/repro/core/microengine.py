@@ -46,7 +46,16 @@ from .binseg import (
 )
 from .config import MixGemmConfig, UVectorLayout
 from .errors import ReproError
-from .isa import BsGet, BsInstruction, BsIp, BsSet, InstructionStream
+from .isa import (
+    BS_GET_COST,
+    BS_IP_COST,
+    BS_SET_COST,
+    BsGet,
+    BsInstruction,
+    BsIp,
+    BsSet,
+    InstructionStream,
+)
 from .packing import unpack_fields
 
 
@@ -418,7 +427,7 @@ class MicroEngine:
         self._accmem = [0] * config.blocking.accmem_slots
         self._group_counter = 0
         self._configured = True
-        self._cpu_time += 1
+        self._cpu_time += BS_SET_COST
         self.pmu.set_instructions += 1
         return 0
 
@@ -460,7 +469,7 @@ class MicroEngine:
                                                      wait_until)
             )
         stall = wait_until - issue_at
-        self._cpu_time = wait_until + 1
+        self._cpu_time = wait_until + BS_IP_COST
         self.pmu.buffer_full_stall_cycles += stall
         self.pmu.ip_instructions += 1
         if push_a:
@@ -522,7 +531,7 @@ class MicroEngine:
             # first bs.get of the collection loop absorbs the drain.
             stall = self._engine_time - self._cpu_time
             self._cpu_time = self._engine_time
-        self._cpu_time += 1
+        self._cpu_time += BS_GET_COST
         self.pmu.get_stall_cycles += stall
         self.pmu.get_instructions += 1
         value = self._accmem[slot]
@@ -551,7 +560,7 @@ class MicroEngine:
             if config is not None:
                 self.set_config(config)
             else:
-                self._cpu_time += 1
+                self._cpu_time += BS_SET_COST
                 self.pmu.set_instructions += 1
         elif isinstance(instr, BsIp):
             self.push_pair(instr.a_word, instr.b_word,

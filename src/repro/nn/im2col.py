@@ -7,7 +7,9 @@ single output pixel".  These helpers produce exactly that mapping:
 
 * :func:`im2row` builds the (N*OH*OW, C*KH*KW) activation matrix A;
 * :func:`weight_matrix` flattens the filters into the (C*KH*KW, F) B;
-* :func:`row2im` is the scatter-add inverse used by conv backward.
+* :func:`row2im` is the scatter-add inverse used by conv backward;
+* :func:`channels_last_order` maps A's columns to the (KH, KW, C) order
+  a channels-last lowering produces.
 
 All functions take NCHW activations and OIHW weights.
 """
@@ -163,6 +165,24 @@ def weight_matrix(w: np.ndarray) -> np.ndarray:
     """Flatten OIHW filters into the GEMM B matrix (C*KH*KW, F)."""
     f = w.shape[0]
     return w.reshape(f, -1).T
+
+
+#: The two K orders of a lowered conv's A columns (and B rows): the
+#: ``(C, KH, KW)`` order :func:`im2row` produces, and the ``(KH, KW, C)``
+#: order a channels-last activation yields (:func:`channels_last_order`).
+K_ORDER_IM2ROW = "c,kh,kw"
+K_ORDER_CHANNELS_LAST = "kh,kw,c"
+
+
+def channels_last_order(c: int, kh: int, kw: int) -> np.ndarray:
+    """Column permutation from :func:`im2row`'s ``(C, KH, KW)`` K order to
+    ``(KH, KW, C)``: ``im2row(x)[:, perm]`` lists each receptive field
+    tap by tap, every tap a contiguous run of channels (the order a
+    channels-last activation yields).  Apply the same ``perm`` to the
+    rows of :func:`weight_matrix` to keep the product unchanged.
+    """
+    return np.arange(c * kh * kw).reshape(c, kh, kw).transpose(1, 2, 0) \
+        .ravel()
 
 
 def rows_to_nchw(

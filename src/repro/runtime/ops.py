@@ -39,12 +39,12 @@ def silu(x: np.ndarray) -> np.ndarray:
     return x * sigmoid(x)
 
 
-def relu(x: np.ndarray) -> np.ndarray:
-    return np.maximum(x, 0.0)
+def relu(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    return np.maximum(x, 0.0, out=out)
 
 
-def relu6(x: np.ndarray) -> np.ndarray:
-    return np.clip(x, 0.0, 6.0)
+def relu6(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    return np.clip(x, 0.0, 6.0, out=out)
 
 
 def pool2d(x: np.ndarray, kernel: int, stride: int, reducer) -> np.ndarray:
@@ -97,6 +97,8 @@ def batchnorm_params(tensors: dict, eps: float
     return scale, shift
 
 
-def apply_batchnorm(x: np.ndarray, scale: np.ndarray,
-                    shift: np.ndarray) -> np.ndarray:
-    return x * scale + shift
+def apply_batchnorm(x: np.ndarray, scale: np.ndarray, shift: np.ndarray,
+                    out: np.ndarray | None = None) -> np.ndarray:
+    """``x * scale + shift``; the add runs in place on the product."""
+    y = np.multiply(x, scale, out=out)
+    return np.add(y, shift, out=y)

@@ -12,8 +12,9 @@ weights once per deployment and keeps the hot loop pure arithmetic;
   of that conv's epilogue (the BN ``scale``/``shift`` arrays are
   precomputed constants), and elementwise ``relu``/``relu6`` nodes fuse
   into the producing step's epilogue;
-* conv lowering state (output geometry, the padded scratch buffer) is
-  cached per input shape, replacing the per-call ``np.pad``;
+* conv lowering state (output geometry, a channels-last zero-halo
+  buffer and its window view) is cached per input shape, replacing the
+  per-call ``np.pad`` and im2row copy;
 * event-backend weight panels are pre-packed into the shared
   :class:`~repro.core.packcache.PackingCache`, and one reusable
   executor is bound per (config, layer) instead of one per call;
@@ -23,7 +24,7 @@ weights once per deployment and keeps the hot loop pure arithmetic;
   into kc-blocks in the narrowest exact type, with per-call cycles
   served by the memoized :func:`~repro.core.fastpath.fastpath_timing`
   oracle.  When every block of a layer is float32 and the AccMem does
-  not wrap, the layer never widens: activation codes, the im2col
+  not wrap, the layer never widens: activation codes, the lowering
   buffer and the GEMM result all stay float32 until the epilogue's
   float64 dequantization.
 
@@ -94,6 +95,7 @@ from repro.core.errors import ReproError
 
 from repro.core.backend import resolve_backend
 from repro.core.config import (
+    ACCMEM_CONTAINER_BITS,
     BlockingParams,
     DEFAULT_ACCMEM_BITS,
     EXECUTION_BACKENDS,
@@ -103,12 +105,18 @@ from repro.core.fastpath import (
     FastGemmKernel,
     fastpath_applicable,
     fastpath_timing,
+    kblock_group_counts,
 )
 from repro.core.gemm import KernelCosts, MixGemm, reference_gemm
 from repro.core.packcache import PackingCache
 from repro.core.packing import _check_matrix
 from repro.nn.functional_quant import weight_absmax_scale
-from repro.nn.im2col import rows_to_nchw
+from repro.nn.im2col import (
+    K_ORDER_CHANNELS_LAST,
+    K_ORDER_IM2ROW,
+    channels_last_order,
+    rows_to_nchw,
+)
 from repro.quant.affine import QuantParams, quantize
 from repro.robustness.errors import GuardError, ReliabilityWarning
 from repro.robustness.guards import PackGuard, check_finite, guard_rank
@@ -207,13 +215,15 @@ def _mark_recovered(result: InferenceResult, label: str) -> None:
 class _ActQuantizer:
     """Per-tensor activation quantizer with the constants pre-resolved.
 
-    Evaluates the same numpy expression as
+    Evaluates the same numpy sequence as
     :func:`repro.quant.affine.quantize` -- divide, add zero-point,
     round, clip, cast -- with the broadcasting/`value_range` bookkeeping
-    hoisted to construction, so the result is bitwise identical and the
-    per-call cost is five ufuncs.  The final cast goes to the consuming
-    GEMM's ``input_dtype``: the clipped codes are small integers, so the
-    float32 cast of the fast path is exactly as lossless as int64.
+    hoisted to construction and every stage after the divide running in
+    place, so the result is bitwise identical.  The cast goes to the
+    consuming GEMM's ``input_dtype``: the clipped codes are small
+    integers, so the float32 cast of the fast path is exactly as
+    lossless as int64.  :meth:`into` casts on assignment into a
+    caller's buffer (a conv lowering's halo interior) instead.
     """
 
     def __init__(self, qp: QuantParams, dtype: type) -> None:
@@ -224,9 +234,18 @@ class _ActQuantizer:
         self._qmin = qp.qmin
         self._qmax = qp.qmax
 
+    def _codes(self, x: np.ndarray) -> np.ndarray:
+        q = x / self._scale
+        np.add(q, self._zp, out=q)
+        np.round(q, out=q)
+        return np.clip(q, self._qmin, self._qmax, out=q)
+
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        q = (x / self._scale + self._zp).round()
-        return q.clip(self._qmin, self._qmax).astype(self.dtype)
+        return self._codes(x).astype(self.dtype)
+
+    def into(self, x: np.ndarray, out: np.ndarray) -> None:
+        """Write the codes of ``x`` into ``out`` (same shape, any dtype)."""
+        out[...] = self._codes(x)
 
 
 class _RefGemm:
@@ -468,8 +487,9 @@ class _BnEpilogue:
         self.scale = scale
         self.shift = shift
 
-    def __call__(self, y: np.ndarray) -> np.ndarray:
-        return ops.apply_batchnorm(y, self.scale, self.shift)
+    def __call__(self, y: np.ndarray,
+                 out: Optional[np.ndarray] = None) -> np.ndarray:
+        return ops.apply_batchnorm(y, self.scale, self.shift, out=out)
 
 
 class _LinearFn:
@@ -522,6 +542,13 @@ class _Step:
     def _finish(self, y: np.ndarray) -> np.ndarray:
         for fn in self.epilogue:
             y = fn(y)
+        return y
+
+    def _finish_in_place(self, y: np.ndarray) -> np.ndarray:
+        """:meth:`_finish` on an array the step owns: every epilogue
+        entry writes back into ``y`` (same ufuncs, same order)."""
+        for fn in self.epilogue:
+            fn(y, out=y)
         return y
 
     def __call__(self, arrays: list[np.ndarray],
@@ -583,44 +610,52 @@ class _GenericStep(_Step):
 
 
 class _ConvLowering:
-    """Per-input-shape conv lowering state (geometry + gather indices).
+    """Per-input-shape conv lowering: a channels-last zero-halo buffer.
 
-    Reproduces :func:`~repro.nn.im2col.im2row` value for value while
-    replacing its per-call ``np.pad`` + strided-view copy with a
-    persistent zero-halo scratch buffer (interior refreshed per call)
-    and one precomputed gather: the index matrix is built by running the
-    *same* windowing arithmetic over a position array once at compile
-    time, so ``rows[i, j]`` picks exactly the element ``im2row`` would.
-    Not thread-safe (the buffer is shared across calls) -- one plan per
-    worker.
+    ``_buf`` is ``(N, H+2p, W+2p, C)`` and holds every input channel.
+    Its halo is zeroed once and never written; each call refreshes only
+    the interior through :attr:`interior`, an NCHW-shaped view, so the
+    activation quantizer casts its codes straight into it.  :meth:`rows`
+    copies a fixed ``as_strided`` window view into a fresh ``(G, M, K)``
+    array: group ``g``'s A matrix is the contiguous ``rows()[g]``, equal
+    to ``im2row`` of that group's channels with its columns in
+    ``k_order`` -- ``im2row``'s own ``(C, KH, KW)``, or ``(KH, KW, C)``,
+    whose window copy moves contiguous channel runs.  Not thread-safe
+    (the buffer is shared across calls) -- one plan per worker.
     """
 
     def __init__(self, x_shape: tuple[int, ...], kh: int, kw: int,
-                 stride: int, padding: int, dtype) -> None:
+                 stride: int, padding: int, groups: int, dtype,
+                 k_order: str) -> None:
         n, c, h, w = x_shape
-        self.h, self.w, self.padding = h, w, padding
-        self.out_h = (h + 2 * padding - kh) // stride + 1
-        self.out_w = (w + 2 * padding - kw) // stride + 1
+        p = padding
+        cpg = c // groups
+        self.out_h = (h + 2 * p - kh) // stride + 1
+        self.out_w = (w + 2 * p - kw) // stride + 1
         self.m = n * self.out_h * self.out_w
-        pad_shape = (n, c, h + 2 * padding, w + 2 * padding)
-        self._buf = np.zeros(pad_shape, dtype=dtype)
-        self._flat = self._buf.reshape(-1)
-        positions = np.arange(self._buf.size,
-                              dtype=np.intp).reshape(pad_shape)
-        sn, sc, sh, sw = positions.strides
-        windows = np.lib.stride_tricks.as_strided(
-            positions, shape=(n, c, self.out_h, self.out_w, kh, kw),
-            strides=(sn, sc, sh * stride, sw * stride, sh, sw),
-            writeable=False,
-        )
-        self._idx = np.ascontiguousarray(
-            windows.transpose(0, 2, 3, 1, 4, 5).reshape(self.m,
-                                                        c * kh * kw))
+        self._buf = np.zeros((n, h + 2 * p, w + 2 * p, c), dtype=dtype)
+        self.interior = self._buf[:, p:p + h, p:p + w, :].transpose(
+            0, 3, 1, 2)
+        sn, sh, sw, sc = self._buf.strides
+        lead = (groups, n, self.out_h, self.out_w)
+        lead_strides = (cpg * sc, sn, sh * stride, sw * stride)
+        if k_order == K_ORDER_CHANNELS_LAST:
+            tail, tail_strides = (kh, kw, cpg), (sh, sw, sc)
+        else:
+            tail, tail_strides = (cpg, kh, kw), (sc, sh, sw)
+        self._windows = np.lib.stride_tricks.as_strided(
+            self._buf, shape=lead + tail,
+            strides=lead_strides + tail_strides, writeable=False)
+        self._rows_shape = (groups, self.m, cpg * kh * kw)
 
-    def rows(self, x: np.ndarray) -> np.ndarray:
-        p = self.padding
-        self._buf[:, :, p:p + self.h, p:p + self.w] = x
-        return np.take(self._flat, self._idx)
+    def rows(self) -> np.ndarray:
+        # Always a fresh C-contiguous copy: a plain reshape would return
+        # a strided view of the buffer when the windows happen to tile
+        # it (1x1 kernels), and float BLAS must see the layout it
+        # always saw.
+        rows = np.empty(self._rows_shape, dtype=self._buf.dtype)
+        np.copyto(rows.reshape(self._windows.shape), self._windows)
+        return rows
 
 
 class _QuantGemmBinder:
@@ -642,19 +677,41 @@ class _QuantGemmBinder:
                          and guards.needs_gemm_hooks(backend))
         self._quant_nodes = 0
 
+    def _config(self, node: NodeSpec) -> Optional[MixGemmConfig]:
+        if self.backend != "mixgemm":
+            return None
+        attrs = node.attrs
+        return MixGemmConfig(
+            bw_a=attrs["act_bits"], bw_b=attrs["weight_bits"],
+            signed_a=attrs["act_signed"], signed_b=True,
+            blocking=SIM_BLOCKING, accmem_bits=self.accmem_bits,
+        )
+
+    def k_order_free(self, node: NodeSpec, k: int) -> bool:
+        """Whether ``node``'s executors return the same C for any order
+        of the K rows (A's columns and B's rows permuted alike).
+
+        An exact integer sum is order free, and so is one wrapped once
+        (a single kc-block) or wrapped modulo the int64 container
+        (``accmem_bits`` >= 64: modular addition commutes).  A wrapping
+        AccMem over several kc-blocks is not -- permuting K moves
+        products across the wrap points -- and a guarded GEMM is kept
+        in the source order because fault injection targets packed-word
+        positions.
+        """
+        if self._guarded:
+            return False
+        config = self._config(node)
+        return (config is None
+                or config.accmem_bits >= ACCMEM_CONTAINER_BITS
+                or len(kblock_group_counts(config, k)) == 1)
+
     def bind(self, node: NodeSpec, label: str, panels: list[np.ndarray]
              ) -> list:
         """One executor per weight panel (conv group) of ``node``."""
-        attrs = node.attrs
         layer_index = self._quant_nodes
         self._quant_nodes += 1
-        config = None
-        if self.backend == "mixgemm":
-            config = MixGemmConfig(
-                bw_a=attrs["act_bits"], bw_b=attrs["weight_bits"],
-                signed_a=attrs["act_signed"], signed_b=True,
-                blocking=SIM_BLOCKING, accmem_bits=self.accmem_bits,
-            )
+        config = self._config(node)
         if self._guarded:
             return [_GuardedGemm(p, config, self.guards, self.gemm_backend,
                                  self.pack_cache, label, node.op,
@@ -681,7 +738,19 @@ def _quant_params(node: NodeSpec) -> tuple[QuantParams, QuantParams]:
 
 
 class _ConvStep(_Step):
-    """``quant_conv2d`` / ``conv2d`` with everything static precomputed."""
+    """``quant_conv2d`` / ``conv2d`` with everything static precomputed.
+
+    Per call: the input (quantized, for ``quant_conv2d``) lands in the
+    lowering's channels-last halo buffer, all groups are lowered with one
+    window copy, each group's GEMM writes its (dequantized) output into
+    its own column slice of one ``[M, Cout]`` float64 array, and bias and
+    the fused epilogue then run in place on that array.  ``k_order`` is
+    :data:`K_ORDER_CHANNELS_LAST` when the bound executors are K-order
+    free (:meth:`_QuantGemmBinder.k_order_free`) -- the weight panels'
+    K rows are then permuted to match at compile time -- and
+    :data:`K_ORDER_IM2ROW` otherwise, including every float conv, whose
+    BLAS summation order must not change.
+    """
 
     can_fold_bn = True
 
@@ -703,6 +772,7 @@ class _ConvStep(_Step):
         bias = node.tensors.get("bias")
         self._bias = bias.reshape(1, -1, 1, 1) if bias is not None else None
         self._lowerings: dict[tuple[int, ...], _ConvLowering] = {}
+        self.k_order = K_ORDER_IM2ROW
 
         if self.quant:
             self.act_qp, wgt_qp = _quant_params(node)
@@ -711,10 +781,15 @@ class _ConvStep(_Step):
             # product without changing a single bit of it.
             self._out_scale = (float(self.act_qp.scale)
                                * wgt_qp.scale[None, :])
-            self.gemms = binder.bind(node, label, [
+            panels = [
                 w_q[g * self.fpg:(g + 1) * self.fpg].reshape(self.fpg, -1).T
                 for g in range(self.groups)
-            ])
+            ]
+            if binder.k_order_free(node, cpg * self.kh * self.kw):
+                self.k_order = K_ORDER_CHANNELS_LAST
+                perm = channels_last_order(cpg, self.kh, self.kw)
+                panels = [panel[perm] for panel in panels]
+            self.gemms = binder.bind(node, label, panels)
             # Groups share config and K, hence one input dtype.
             self._act_dtype = self.gemms[0].input_dtype
             self._quant_act = _ActQuantizer(self.act_qp, self._act_dtype)
@@ -736,8 +811,8 @@ class _ConvStep(_Step):
                     f"channel mismatch: input {c}, weight {self.cpg} x "
                     f"groups {self.groups}")
             dtype = self._act_dtype if self.quant else np.float64
-            low = _ConvLowering((n, self.cpg, h, w), self.kh, self.kw,
-                                self.stride, self.kpad, dtype)
+            low = _ConvLowering(x_shape, self.kh, self.kw, self.stride,
+                                self.kpad, self.groups, dtype, self.k_order)
             self._lowerings[x_shape] = low
         return low
 
@@ -746,20 +821,23 @@ class _ConvStep(_Step):
         x = arrays[0]
         low = self._lowering(x.shape)
         if self.quant:
-            src = self._quant_act(x)
-            acc = np.concatenate([
-                gemm(low.rows(src[:, g * self.cpg:(g + 1) * self.cpg]),
-                     result)
-                for g, gemm in enumerate(self.gemms)], axis=1)
-            y = acc.astype(np.float64) * self._out_scale
+            self._quant_act.into(x, low.interior)
         else:
-            y = np.concatenate([
-                low.rows(x[:, g * self.cpg:(g + 1) * self.cpg]) @ panel
-                for g, panel in enumerate(self.panels)], axis=1)
+            low.interior[...] = x
+        rows = low.rows()
+        y = np.empty((low.m, self.out_channels))
+        for g in range(self.groups):
+            cols = slice(g * self.fpg, (g + 1) * self.fpg)
+            if self.quant:
+                np.multiply(self.gemms[g](rows[g], result),
+                            self._out_scale[:, cols], out=y[:, cols],
+                            dtype=np.float64)
+            else:
+                np.matmul(rows[g], self.panels[g], out=y[:, cols])
         y = rows_to_nchw(y, x.shape[0], low.out_h, low.out_w)
         if self._bias is not None:
-            y = y + self._bias
-        return self._finish(y)
+            np.add(y, self._bias, out=y)
+        return self._finish_in_place(y)
 
 
 class _QuantLinearStep(_Step):

@@ -28,7 +28,7 @@ import math
 from dataclasses import dataclass
 
 from repro.core.config import MixGemmConfig
-from repro.core.isa import KernelCosts
+from repro.core.isa import BS_GET_COST, KernelCosts
 from repro.core.microengine import group_cycles
 from repro.core.packing import aligned_kc
 
@@ -189,7 +189,7 @@ class MixGemmPerfModel:
 
         # Collection + C update: one bs.get + accumulate per output per
         # k-block.
-        collection = outputs * k_blocks * (costs.get_cost
+        collection = outputs * k_blocks * (BS_GET_COST
                                            + costs.c_update_cost)
 
         traffic = gemm_traffic(

@@ -13,10 +13,16 @@ from repro.analysis.ranges import (
 )
 from repro.analysis.sarif import to_sarif
 from repro.models.builders import build_tiny
-from repro.nn.layers import seed_init
+from repro.nn.im2col import (
+    K_ORDER_CHANNELS_LAST,
+    K_ORDER_IM2ROW,
+    channels_last_order,
+)
+from repro.nn.layers import LayerQuantSpec, QuantConv2d, Sequential, seed_init
 from repro.robustness.faults import demo_graph
 from repro.runtime.export_modules import export_model
-from repro.runtime.plan import compile_graph
+from repro.runtime.graph import export_sequential
+from repro.runtime.plan import _BoundGemm, compile_graph
 
 
 @pytest.fixture(scope="module")
@@ -146,6 +152,45 @@ class TestSeededBugs:
                              accmem_bits=32)
         diags = verify_plan(plan, analysis=resnet_analysis)
         assert diags and "accmem_bits" in diags[0].message
+
+    def test_permuted_panel_in_wrapping_multiblock_gemm_caught(self):
+        """Channels-last K order where a 16-bit AccMem wraps over two
+        kc-blocks: the panel itself matches the permuted source, but the
+        wrap points move, so the plan is rejected."""
+        seed_init(21)
+        spec = LayerQuantSpec(act_bits=8, weight_bits=8)
+        model = Sequential(QuantConv2d(64, 4, 3, spec=spec, padding=1))
+        model.eval()
+        graph = export_sequential(model, name="wide-k-conv")
+        analysis = analyze_graph(graph, accmem_bits=16)
+        plan = compile_graph(graph, backend="mixgemm", accmem_bits=16)
+        step = plan.steps[0]
+        assert step.k_order == K_ORDER_IM2ROW
+        assert verify_plan(plan, analysis=analysis) == []
+        rec = analysis.records[step.stats_label]
+        assert len(rec.blocks[0]) == 2
+        # Hand-build the order the compiler refuses here.
+        gemm = step.gemms[0]
+        perm = channels_last_order(step.cpg, step.kh, step.kw)
+        step.gemms = [_BoundGemm(rec.weights_q[0][perm], gemm.config,
+                                 "fast", plan.pack_cache, gemm.label,
+                                 gemm.op)]
+        step.k_order = K_ORDER_CHANNELS_LAST
+        diags = verify_plan(plan, analysis=analysis)
+        assert [d.rule for d in diags] == ["RANGE-EQUIV"]
+        assert "wrap points would move" in diags[0].message
+        # Undeclared, the same panel diverges from the source order.
+        step.k_order = K_ORDER_IM2ROW
+        diags = verify_plan(plan, analysis=analysis)
+        assert any("panel diverges" in d.message for d in diags)
+
+    def test_unknown_k_order_caught(self, resnet_graph, resnet_analysis):
+        plan = compile_graph(resnet_graph, backend="mixgemm", fuse=True)
+        step = next(s for s in plan.steps
+                    if getattr(s, "k_order", None) == K_ORDER_CHANNELS_LAST)
+        step.k_order = "w,h,c"
+        diags = verify_plan(plan, analysis=resnet_analysis)
+        assert any("unknown K order" in d.message for d in diags)
 
     def test_dropped_bn_epilogue_caught(self, resnet_graph,
                                         resnet_analysis):

@@ -1,0 +1,77 @@
+"""The compiled conv lowering against ``im2row``, in both K orders."""
+
+import itertools
+
+import numpy as np
+import pytest
+
+from repro.nn.im2col import (
+    K_ORDER_CHANNELS_LAST,
+    K_ORDER_IM2ROW,
+    channels_last_order,
+    im2row,
+)
+from repro.runtime.plan import _ConvLowering
+
+#: Odd spatial sizes, large enough for a 7x7 kernel without padding.
+_N, _C, _H, _W = 2, 4, 9, 11
+
+
+def _lowered(x, kernel, stride, padding, groups, dtype, k_order):
+    low = _ConvLowering(x.shape, kernel, kernel, stride, padding, groups,
+                        dtype, k_order)
+    low.interior[...] = x
+    return low, low.rows()
+
+
+def _expected(x, kernel, stride, padding, groups, k_order):
+    cpg = x.shape[1] // groups
+    refs = [im2row(x[:, g * cpg:(g + 1) * cpg], kernel, kernel, stride,
+                   padding) for g in range(groups)]
+    if k_order == K_ORDER_CHANNELS_LAST:
+        perm = channels_last_order(cpg, kernel, kernel)
+        refs = [ref[:, perm] for ref in refs]
+    return np.stack(refs)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.int64, np.float64])
+@pytest.mark.parametrize("groups", [1, 2, _C])
+@pytest.mark.parametrize("kernel", [1, 3, 5, 7])
+@pytest.mark.parametrize("stride,padding",
+                         list(itertools.product([1, 2], [0, 1, 2])))
+def test_rows_equal_im2row(stride, padding, kernel, groups, dtype):
+    rng = np.random.default_rng(kernel * 100 + stride * 10 + padding)
+    for k_order in (K_ORDER_IM2ROW, K_ORDER_CHANNELS_LAST):
+        low = None
+        for _ in range(2):  # a refill must not leave stale values behind
+            x = rng.integers(-100, 100, size=(_N, _C, _H, _W)).astype(dtype)
+            if low is None:
+                low, rows = _lowered(x, kernel, stride, padding, groups,
+                                     dtype, k_order)
+            else:
+                low.interior[...] = x
+                rows = low.rows()
+            want = _expected(x, kernel, stride, padding, groups, k_order)
+            assert rows.dtype == dtype
+            assert rows.shape == want.shape == (groups, low.m,
+                                                _C // groups * kernel ** 2)
+            assert all(rows[g].flags.c_contiguous for g in range(groups))
+            assert np.array_equal(rows, want)
+
+
+def test_orders_coincide_for_one_channel_per_group():
+    """Depthwise: with one channel per group both orders are the same."""
+    assert np.array_equal(channels_last_order(1, 3, 3), np.arange(9))
+
+
+def test_halo_stays_zero():
+    x = np.ones((1, 3, 4, 5))
+    low, rows = _lowered(x, 3, 1, 2, 1, np.float64, K_ORDER_IM2ROW)
+    assert rows.shape == (1, 1 * 6 * 7, 27)
+    p = 2
+    buf = low._buf
+    assert buf.shape == (1, 8, 9, 3)
+    interior = np.zeros(buf.shape, dtype=bool)
+    interior[:, p:p + 4, p:p + 5, :] = True
+    assert not buf[~interior].any()
+    assert (buf[interior] == 1).all()

@@ -9,7 +9,20 @@ import pytest
 
 from repro.analysis.ranges import verify_plan
 from repro.core.binseg import value_range
+from repro.core.config import MixGemmConfig
+from repro.core.fastpath import kblock_group_counts
+from repro.core.gemm import MixGemm
 from repro.models.builders import build_tiny
+from repro.nn.autograd import Tensor
+from repro.nn.functional_quant import weight_absmax_scale
+from repro.nn.im2col import (
+    K_ORDER_CHANNELS_LAST,
+    K_ORDER_IM2ROW,
+    channels_last_order,
+    im2row,
+    rows_to_nchw,
+    weight_matrix,
+)
 from repro.nn.layers import (
     Flatten,
     LayerQuantSpec,
@@ -27,7 +40,9 @@ from repro.runtime.graph import (
     GraphError,
     export_sequential,
 )
-from repro.runtime.plan import _GuardedGemm, compile_graph
+from repro.quant.affine import QuantParams, quantize
+from repro.runtime.observe import set_range_hook
+from repro.runtime.plan import SIM_BLOCKING, _GuardedGemm, compile_graph
 
 #: Recorded reference runs (see ``test_interpreter_golden.py``); the
 #: fused plans must reproduce them.
@@ -472,3 +487,105 @@ class TestPlanDifferentialSweep:
                        accmem_bits):
         _check_plan_differential(act_bits, weight_bits, act_signed,
                                  accmem_bits)
+
+
+# -- graph-order wrap differential ---------------------------------------------
+
+
+def _wide_k_conv_graph():
+    """One a8w8 conv, 64 -> 4 channels at 3x3: K = 576 spans two
+    kc-blocks at SIM_BLOCKING."""
+    seed_init(21)
+    spec = LayerQuantSpec(act_bits=8, weight_bits=8, act_signed=False)
+    model = Sequential(QuantConv2d(64, 4, 3, spec=spec, padding=1,
+                                   bias=False))
+    model.eval()
+    return export_sequential(model, name="wide-k-conv")
+
+
+class TestGraphOrderWrapDifferential:
+    """A compiled conv against the event engine on ``im2row`` /
+    ``weight_matrix`` operands built straight from
+    :mod:`repro.nn.im2col`.  ``InferenceEngine`` runs the same plan, so
+    only an independent lowering catches a K-order bug where the AccMem
+    wraps."""
+
+    @pytest.mark.parametrize("accmem_bits", [16, 64])
+    def test_conv_matches_im2row_gemm(self, accmem_bits):
+        graph = _wide_k_conv_graph()
+        node = graph.nodes[0]
+        x = 8.0 * np.random.default_rng(4).standard_normal((1, 64, 5, 5))
+        plan = compile_graph(graph, backend="mixgemm", gemm_backend="fast",
+                             accmem_bits=accmem_bits)
+        accs = []
+
+        def _hook(label, kind, values):
+            if kind == "acc":
+                accs.append(values.copy())
+
+        previous = set_range_hook(_hook)
+        try:
+            got = plan.run(x)
+        finally:
+            set_range_hook(previous)
+
+        act_scale = node.attrs["act_scale"]
+        w = node.tensors["weight"]
+        w_scale = weight_absmax_scale(w, 8, channel_axis=0)
+        a = im2row(quantize(x, QuantParams(scale=act_scale, zero_point=0.0,
+                                           bits=8, signed=False)),
+                   3, 3, padding=1)
+        b = weight_matrix(quantize(w, QuantParams(
+            scale=w_scale, zero_point=0.0, bits=8, signed=True, axis=0)))
+        config = MixGemmConfig(bw_a=8, bw_b=8, signed_a=False,
+                               signed_b=True, blocking=SIM_BLOCKING,
+                               accmem_bits=accmem_bits)
+        assert len(kblock_group_counts(config, b.shape[0])) == 2
+        ref = MixGemm(config, backend="event").gemm(a, b)
+
+        assert len(accs) == 1 and np.array_equal(accs[0], ref.c)
+        assert got.layer_stats[0].cycles == ref.cycles
+        want = rows_to_nchw(ref.c.astype(np.float64)
+                            * (float(act_scale) * w_scale[None, :]), 1, 5, 5)
+        assert np.array_equal(got.output, want)
+
+        perm = channels_last_order(64, 3, 3)
+        if accmem_bits == 16:
+            # The wrap points depend on K order, so the plan must keep
+            # im2row's -- and this input really tells the orders apart.
+            assert plan.steps[0].k_order == K_ORDER_IM2ROW
+            permuted = MixGemm(config, backend="event").gemm(a[:, perm],
+                                                             b[perm])
+            assert not np.array_equal(permuted.c, ref.c)
+        else:
+            assert plan.steps[0].k_order == K_ORDER_CHANNELS_LAST
+
+
+# -- grouped convs -------------------------------------------------------------
+
+
+class TestGroupedConvPlans:
+    """Depthwise and grouped convs lower all groups with one copy and
+    write each group's output into its own column slice."""
+
+    @pytest.mark.parametrize("name", ["mobilenet_v1", "efficientnet_b0"])
+    def test_tiny_grouped_nets_at_batch_32(self, name):
+        seed_init(5)
+        model = build_tiny(name, act_bits=8, weight_bits=8)
+        model.eval()
+        graph = export_model(model, name=name)
+        assert any(n.attrs.get("groups", 1) > 1 for n in graph.nodes)
+        x = np.random.default_rng(9).standard_normal((32, 1, 8, 8))
+        plan = compile_graph(graph, backend="mixgemm")
+        got = plan.run(x)
+        numpy = compile_graph(graph, backend="numpy").run(x)
+        event = compile_graph(graph, backend="mixgemm",
+                              gemm_backend="event").run(x)
+        assert np.array_equal(got.output, numpy.output)
+        assert np.array_equal(got.output, event.output)
+        assert _stats_tuples(got) == _stats_tuples(event)
+        assert verify_plan(plan) == []
+        # The plans above share the step code; the module's own forward
+        # does not (it lowers with im2row, group by group).
+        assert np.allclose(got.output, model(Tensor(x)).data, rtol=0,
+                           atol=1e-9)
