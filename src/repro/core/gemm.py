@@ -332,11 +332,11 @@ class MixGemm:
                             jr + i, (group_base + g) * lay.kub + w
                         )
                 engine.advance(cycles)
+            a_groups = [run.group_words(g) for run in a_up.runs]
             for i in range(blk.nr):
-                for j in range(blk.mr):
+                b_words = b_up.runs[i].group_words(g)
+                for a_words in a_groups:
                     engine.advance(costs.inner_loop_overhead)
-                    a_words = a_up.runs[j].group_words(g)
-                    b_words = b_up.runs[i].group_words(g)
                     for ku in range(ku_iters):
                         push_a = ku < lay.kua
                         push_b = ku < lay.kub

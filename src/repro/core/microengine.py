@@ -348,12 +348,6 @@ class PmuCounters:
 
 
 @dataclass
-class _PendingWord:
-    word: int
-    arrival: int  # CPU cycle at which bs.ip delivered it
-
-
-@dataclass
 class EngineRun:
     """Result of executing an instruction stream."""
 
@@ -385,9 +379,15 @@ class MicroEngine:
         field widths, slice positions and DSU schedule are resolved once
         per ``bs.set`` (:func:`engine_datapath`), and the unpacked fields
         are in range by construction, so nothing is re-derived or
-        re-validated per cluster.  When false the group inner product is
-        computed directly: identical values, cycles and PMU counts
-        (asserted by the test-suite), without the packing work.
+        re-validated per cluster.  The DCU's work depends only on a
+        group's u-vector words, so the engine memoises it per ``bs.set``:
+        each distinct group of ``kua`` (``kub``) words is unpacked and
+        packed into its per-walk-cycle input-clusters once, and every
+        further group with the same words runs only the wide multiply
+        and the DFU slice.  When false the group inner product is
+        computed directly from the memoised fields: identical values,
+        cycles and PMU counts (asserted by the test-suite), without the
+        packing work.
     fault_hook:
         Optional fault-injection hook (duck-typed; see
         :class:`repro.robustness.faults.FaultInjector`).  After every
@@ -405,13 +405,21 @@ class MicroEngine:
         self._cpu_time = 0
         self._engine_time = 0
         self.pmu = PmuCounters()
-        self._a_queue: deque[_PendingWord] = deque()
-        self._b_queue: deque[_PendingWord] = deque()
+        # Buffered u-vectors not yet grouped: (word, CPU cycle at which
+        # bs.ip delivered it).
+        self._a_queue: deque[tuple[int, int]] = deque()
+        self._b_queue: deque[tuple[int, int]] = deque()
         # Cycle at which each already-scheduled (but not yet drained)
-        # u-vector frees its Source Buffer slot; kept sorted because groups
-        # are processed in order and releases are monotone within a group.
+        # u-vector frees its Source Buffer slot.  Nondecreasing by
+        # construction: release offsets grow with the word index within a
+        # group, and each group finishes at least its walk length after
+        # the previous one.
         self._a_releases: deque[int] = deque()
         self._b_releases: deque[int] = deque()
+        # DCU operands per distinct u-vector group since the last bs.set,
+        # keyed by the group's word values (see _group_inner_product).
+        self._a_memo: dict[tuple[int, ...], list[int]] = {}
+        self._b_memo: dict[tuple[int, ...], list[int]] = {}
         self._group_counter = 0
         if config is not None:
             self.set_config(config)
@@ -422,6 +430,8 @@ class MicroEngine:
         """Model ``bs.set``: single-cycle Control Unit reconfiguration."""
         self._config = config
         self._datapath = engine_datapath(config)
+        self._a_memo.clear()
+        self._b_memo.clear()
         self._depth = config.source_buffer_depth
         self._accmem_bits = config.accmem_bits
         self._accmem = [0] * config.blocking.accmem_slots
@@ -455,8 +465,33 @@ class MicroEngine:
         if not self._configured:
             raise MicroEngineError("bs.ip before bs.set")
         issue_at = self._cpu_time
+        a_queue, b_queue = self._a_queue, self._b_queue
         # The instruction needs a free slot in each buffer it writes; a
         # slot is occupied from push until the DSU releases the u-vector.
+        # When every target has room at the issue cycle the instruction
+        # issues without a stall; otherwise wait for the releases.
+        self._prune_releases(issue_at)
+        depth = self._depth
+        if ((push_a and len(a_queue) + len(self._a_releases) >= depth)
+                or (push_b
+                    and len(b_queue) + len(self._b_releases) >= depth)):
+            stall = self._stall_for_slots(issue_at, push_a, push_b)
+            self.pmu.buffer_full_stall_cycles += stall
+        else:
+            stall = 0
+        arrival = self._cpu_time = issue_at + stall + BS_IP_COST
+        self.pmu.ip_instructions += 1
+        if push_a:
+            a_queue.append((a_word, arrival))
+        if push_b:
+            b_queue.append((b_word, arrival))
+        self._try_process_groups()
+        return stall
+
+    def _stall_for_slots(self, issue_at: int, push_a: bool,
+                         push_b: bool) -> int:
+        """Cycles a ``bs.ip`` issued at ``issue_at`` waits for a free slot
+        in each Source Buffer it writes."""
         targets = []
         if push_a:
             targets.append((self._a_queue, self._a_releases))
@@ -468,18 +503,9 @@ class MicroEngine:
                 wait_until, self._time_for_free_slot(queue, releases,
                                                      wait_until)
             )
-        stall = wait_until - issue_at
-        self._cpu_time = wait_until + BS_IP_COST
-        self.pmu.buffer_full_stall_cycles += stall
-        self.pmu.ip_instructions += 1
-        if push_a:
-            self._a_queue.append(_PendingWord(a_word, self._cpu_time))
-        if push_b:
-            self._b_queue.append(_PendingWord(b_word, self._cpu_time))
-        self._try_process_groups()
-        return stall
+        return wait_until - issue_at
 
-    def _time_for_free_slot(self, queue: deque[_PendingWord],
+    def _time_for_free_slot(self, queue: deque[tuple[int, int]],
                             releases: deque[int], now: int) -> int:
         """Earliest cycle at which ``queue``'s buffer has a free slot."""
         self._prune_releases(now)
@@ -502,7 +528,7 @@ class MicroEngine:
                 "Source Buffer full of unscheduled u-vectors; buffer depth "
                 "is smaller than the configuration's kua/kub group size"
             )
-        free_at = sorted(releases)[overflow]
+        free_at = releases[overflow]  # nondecreasing, see __init__
         return max(now, free_at)
 
     def _prune_releases(self, now: int) -> None:
@@ -573,12 +599,10 @@ class MicroEngine:
 
     # -- engine internals ------------------------------------------------------
 
-    def _group_ready(self) -> bool:
-        return (len(self._a_queue) >= self._datapath.kua
-                and len(self._b_queue) >= self._datapath.kub)
-
     def _try_process_groups(self) -> None:
-        while self._group_ready():
+        dp = self._datapath
+        a_queue, b_queue = self._a_queue, self._b_queue
+        while len(a_queue) >= dp.kua and len(b_queue) >= dp.kub:
             self._process_group()
 
     def _process_all_available(self) -> None:
@@ -588,19 +612,18 @@ class MicroEngine:
 
     def _process_group(self) -> None:
         dp = self._datapath
-        a_words = [self._a_queue.popleft() for _ in range(dp.kua)]
-        b_words = [self._b_queue.popleft() for _ in range(dp.kub)]
+        a_words, a_arrivals = zip(*[self._a_queue.popleft()
+                                    for _ in range(dp.kua)])
+        b_words, b_arrivals = zip(*[self._b_queue.popleft()
+                                    for _ in range(dp.kub)])
         cycles = dp.schedule.cycles
         # Group start: engine free and the first u-vector of each stream
         # delivered; each walk cycle additionally waits for the u-vectors it
         # first touches.
-        start = max(self._engine_time,
-                    a_words[0].arrival, b_words[0].arrival)
-        finish = start + cycles
-        for pw, ready in zip(a_words, dp.a_ready):
-            finish = max(finish, pw.arrival + ready)
-        for pw, ready in zip(b_words, dp.b_ready):
-            finish = max(finish, pw.arrival + ready)
+        start = max(self._engine_time, a_arrivals[0], b_arrivals[0])
+        finish = max(start + cycles,
+                     *map(operator.add, a_arrivals, dp.a_ready),
+                     *map(operator.add, b_arrivals, dp.b_ready))
         self._engine_time = finish
         self.pmu.engine_busy_cycles += cycles
         # Each u-vector keeps its Source Buffer slot until the DSU finishes
@@ -623,16 +646,40 @@ class MicroEngine:
             for i, v in enumerate(self._accmem):
                 self._accmem[i] = wrap_signed(v, self._accmem_bits)
 
-    def _group_inner_product(self, a_words: list[_PendingWord],
-                             b_words: list[_PendingWord]) -> int:
+    def _group_inner_product(self, a_words: tuple[int, ...],
+                             b_words: tuple[int, ...]) -> int:
+        """One group's inner product from its ``kua`` + ``kub`` words.
+
+        The DCU operands of a group -- its unpacked fields, or with the
+        datapath emulated its packed input-clusters, one per walk cycle
+        -- depend only on the group's words and the ``bs.set``
+        configuration.  They are memoised per side, keyed by the word
+        values: Algorithm 1 meets every A group with every B column, so
+        each group would otherwise be unpacked and packed n (or m) times.
+        ``bs.set`` clears the memo, so it never outlives one
+        configuration; keying on values (not run positions) keeps
+        storage faults exact, since a flipped word is a different key.
+        """
         dp = self._datapath
-        a = unpack_fields([pw.word for pw in a_words], dp.a_shifts,
-                          dp.a_mask, dp.a_sign)
-        b = unpack_fields([pw.word for pw in b_words], dp.b_shifts,
-                          dp.b_mask, dp.b_sign)
-        if not self._emulate_datapath:
+        emulate = self._emulate_datapath
+        a = self._a_memo.get(a_words)
+        if a is None:
+            a = unpack_fields(a_words, dp.a_shifts, dp.a_mask, dp.a_sign)
+            if emulate:
+                a = [cluster.pack_a(a[lo:hi])
+                     for lo, hi, cluster in dp.clusters]
+            self._a_memo[a_words] = a
+        b = self._b_memo.get(b_words)
+        if b is None:
+            b = unpack_fields(b_words, dp.b_shifts, dp.b_mask, dp.b_sign)
+            if emulate:
+                b = [cluster.pack_b(b[lo:hi])
+                     for lo, hi, cluster in dp.clusters]
+            self._b_memo[b_words] = b
+        if not emulate:
             return sum(map(operator.mul, a, b))
+        # Per walk cycle: the one wide product, then the DFU slice.
         total = 0
-        for lo, hi, cluster in dp.clusters:
-            total += cluster.inner_product(a[lo:hi], b[lo:hi])
+        for (_, _, cluster), cluster_a, cluster_b in zip(dp.clusters, a, b):
+            total += cluster.extract(cluster_a * cluster_b)
         return total

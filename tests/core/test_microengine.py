@@ -22,7 +22,7 @@ from repro.core.microengine import (
     group_cycles,
     group_schedule,
 )
-from repro.core.packing import pack_word
+from repro.core.packing import pack_matrix_a, pack_matrix_b, pack_word
 
 
 class TestDistributeElements:
@@ -361,3 +361,167 @@ class TestEventGemmDifferential:
         np.testing.assert_array_equal(c_direct, c)
         assert cycles == cycles_direct
         assert pmu == pmu_direct
+
+
+#: ``(config, source_buffer_depth, (m, k, n))`` -> ``(C checksum, cycles,
+#: PmuCounters fields in declaration order)``.  Recorded on the engine
+#: before its per-``bs.set`` operand memo and straight-line ``bs.ip``
+#: existed; both must leave every figure unchanged.  Depth 4 keeps the
+#: full-buffer stall path pinned (928 stall cycles for a8-w8 16^3).
+PINNED_CONFIGS = {
+    "a8-w8": dict(bw_a=8, bw_b=8),
+    "a4-w2": dict(bw_a=4, bw_b=2),
+    "a2-w2u": dict(bw_a=2, bw_b=2, signed_a=False),
+    "a8-w2": dict(bw_a=8, bw_b=2),  # kub = 1
+}
+PINNED = {
+    ("a8-w8", 4, (16, 16, 16)):
+        (54784495, 4753, (4753, 3072, 928, 176, 8192, 256, 1024, 256, 1)),
+    ("a8-w8", 4, (9, 37, 7)):
+        (2162564, 3016, (3016, 2304, 696, 66, 6144, 192, 768, 96, 1)),
+    ("a8-w8", 16, (16, 16, 16)):
+        (54784495, 4753, (4753, 3072, 352, 752, 8192, 256, 1024, 256, 1)),
+    ("a8-w8", 16, (9, 37, 7)):
+        (2162564, 2836, (2836, 2304, 300, 282, 6144, 192, 768, 96, 1)),
+    ("a4-w2", 4, (16, 16, 16)):
+        (219658, 4625, (4625, 3072, 928, 176, 16384, 256, 1024, 256, 1)),
+    ("a4-w2", 4, (9, 37, 7)):
+        (30921, 1636, (1636, 1152, 348, 66, 6144, 96, 384, 96, 1)),
+    ("a4-w2", 16, (16, 16, 16)):
+        (219658, 4625, (4625, 3072, 352, 752, 16384, 256, 1024, 256, 1)),
+    ("a4-w2", 16, (9, 37, 7)):
+        (30921, 1636, (1636, 1152, 132, 282, 6144, 96, 384, 96, 1)),
+    ("a2-w2u", 4, (16, 16, 16)):
+        (-365477, 6801, (6801, 5120, 2848, 304, 32768, 256, 1024, 256, 1)),
+    ("a2-w2u", 4, (9, 37, 7)):
+        (-53146, 2452, (2452, 1920, 1068, 114, 12288, 96, 384, 96, 1)),
+    ("a2-w2u", 16, (16, 16, 16)):
+        (-365477, 6801, (6801, 5120, 1888, 1264, 32768, 256, 1024, 256, 1)),
+    ("a2-w2u", 16, (9, 37, 7)):
+        (-53146, 2452, (2452, 1920, 708, 474, 12288, 96, 384, 96, 1)),
+    ("a8-w2", 4, (16, 16, 16)):
+        (1503800, 3537, (3537, 2048, 0, 80, 8192, 256, 1024, 256, 1)),
+    ("a8-w2", 4, (9, 37, 7)):
+        (234725, 2140, (2140, 1536, 0, 30, 6144, 192, 768, 96, 1)),
+    ("a8-w2", 16, (16, 16, 16)):
+        (1503800, 3537, (3537, 2048, 0, 80, 8192, 256, 1024, 256, 1)),
+    ("a8-w2", 16, (9, 37, 7)):
+        (234725, 2140, (2140, 1536, 0, 30, 6144, 192, 768, 96, 1)),
+}
+
+
+def _pinned_operands(cfg, m, k, n):
+    lo_a, hi_a = value_range(cfg.bw_a, cfg.signed_a)
+    lo_b, hi_b = value_range(cfg.bw_b, cfg.signed_b)
+    rng = np.random.default_rng(m * 10000 + k * 100 + n)
+    return (rng.integers(lo_a, hi_a + 1, size=(m, k)),
+            rng.integers(lo_b, hi_b + 1, size=(k, n)))
+
+
+@pytest.fixture
+def monotone_releases(monkeypatch):
+    """Assert after every scheduled group that both Source Buffer release
+    deques are nondecreasing (the stall path indexes them unsorted)."""
+    process_group = MicroEngine._process_group
+
+    def checked(self):
+        process_group(self)
+        for releases in (self._a_releases, self._b_releases):
+            times = list(releases)
+            assert times == sorted(times)
+
+    monkeypatch.setattr(MicroEngine, "_process_group", checked)
+
+
+@pytest.mark.parametrize("emulate", [True, False])
+@pytest.mark.parametrize("key", sorted(PINNED))
+def test_pmu_pinned(key, emulate, monotone_releases):
+    name, depth, (m, k, n) = key
+    cfg = MixGemmConfig(source_buffer_depth=depth, **PINNED_CONFIGS[name])
+    a, b = _pinned_operands(cfg, m, k, n)
+    result = MixGemm(cfg, emulate_datapath=emulate, backend="event").gemm(a, b)
+    np.testing.assert_array_equal(result.c, reference_gemm(a, b))
+    flat = result.c.astype(np.int64).ravel()
+    checksum = int((flat * np.arange(1, flat.size + 1)).sum())
+    assert (checksum, result.cycles,
+            tuple(asdict(result.pmu).values())) == PINNED[key]
+
+
+class TestOperandMemo:
+    """The engine memoises each u-vector group's DCU operands per
+    ``bs.set``; the memo must never leak across configurations and must
+    key on word values, so storage faults stay exact."""
+
+    #: Same kua/kub (hence same key shape), different field semantics.
+    CONFIGS = (
+        MixGemmConfig(bw_a=8, bw_b=8, kua=2, kub=2),
+        MixGemmConfig(bw_a=8, bw_b=8, kua=2, kub=2, signed_a=False),
+        MixGemmConfig(bw_a=4, bw_b=4, kua=2, kub=2),
+    )
+
+    @staticmethod
+    def _feed(engine, words):
+        for a_word, b_word in words:
+            engine.push_pair(a_word, b_word)
+        return engine.read_slot(0)[0]
+
+    @pytest.mark.parametrize("emulate", [True, False])
+    def test_bs_set_scopes_memo(self, emulate):
+        rng = np.random.default_rng(5)
+        words = [tuple(int(w) for w in rng.integers(0, 1 << 63, size=2))
+                 for _ in range(2)]
+        reused = MicroEngine(emulate_datapath=emulate)
+        got, fresh = [], []
+        for cfg in self.CONFIGS:
+            reused.set_config(cfg)
+            got.append(self._feed(reused, words))
+            fresh.append(self._feed(
+                MicroEngine(cfg, emulate_datapath=emulate), words))
+        assert got == fresh
+        assert len(set(fresh)) == len(fresh)  # the configs disagree
+
+    @pytest.mark.parametrize("emulate", [True, False])
+    def test_memo_bounded_and_cleared(self, emulate):
+        cfg = MixGemmConfig(bw_a=6, bw_b=4, blocking=RAGGED_BLOCKING)
+        a, b = _ragged_operands(cfg, seed=3)
+        executor = MixGemm(cfg, emulate_datapath=emulate, backend="event")
+        executor.gemm(a, b)
+        engine = executor.engine
+        for memo, packed in ((engine._a_memo, pack_matrix_a(a, cfg)),
+                             (engine._b_memo, pack_matrix_b(b, cfg))):
+            kv = packed.kvectors[0]
+            # Edge runs past the matrix are all-zero groups.
+            groups = {(0,) * kv.ku}
+            groups.update(run.group_words(g) for run in packed.kvectors
+                          for g in range(run.n_groups))
+            assert 0 < len(memo) <= len(groups)
+            assert set(memo) <= groups
+        engine.set_config(cfg)
+        assert not engine._a_memo and not engine._b_memo
+
+    def test_uvector_faults_exact(self):
+        from repro.robustness.faults import FaultInjector, FaultPlan
+
+        cfg = MixGemmConfig(bw_a=6, bw_b=4, blocking=RAGGED_BLOCKING)
+        a, b = _ragged_operands(cfg, seed=11)
+        for seed in range(4):
+            plan = FaultPlan.generate(seed, n_faults=2,
+                                      sites=("uvector_a", "uvector_b"))
+            runs, events = [], []
+            for emulate in (True, False):
+                injector = FaultInjector(plan)
+                runs.append(_event_gemm(cfg, a, b, emulate_datapath=emulate,
+                                        fault_hook=injector))
+                events.append([f.description for f in injector.injected])
+            # The C the faulted words encode, computed off the engine.
+            shadow = FaultInjector(plan)
+            faulted_a = shadow.on_pack("A", pack_matrix_a(a, cfg)).to_dense()
+            faulted_b = shadow.on_pack("B", pack_matrix_b(b, cfg)).to_dense()
+            (c, cycles, pmu), (c_direct, cycles_direct, pmu_direct) = runs
+            assert len(events[0]) == 2
+            assert events[0] == events[1]
+            np.testing.assert_array_equal(c, faulted_a @ faulted_b)
+            assert not np.array_equal(c, reference_gemm(a, b))
+            np.testing.assert_array_equal(c_direct, c)
+            assert cycles == cycles_direct
+            assert pmu == pmu_direct
