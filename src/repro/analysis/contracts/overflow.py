@@ -26,7 +26,6 @@ from repro.core.binseg import (
     worst_case_inner_product,
 )
 from repro.core.config import BlockingParams, MixGemmConfig
-from repro.core.packing import aligned_kc
 
 from .packing import check_config
 
@@ -78,10 +77,7 @@ def check_overflow(graph, *, accmem_bits: int, blocking: BlockingParams,
         if config.name not in seen_configs:
             seen_configs.add(config.name)
             diags.extend(check_config(config, node=label, path=path))
-        layout = config.layout
-        kc_logical = aligned_kc(blocking.kc * layout.elems_a,
-                                layout.group_elements)
-        k_eff = min(k, kc_logical)
+        k_eff = min(k, config.kc_elements)
         worst = worst_case_inner_product(
             k_eff, config.bw_a, config.bw_b,
             signed_a=config.signed_a, signed_b=config.signed_b,

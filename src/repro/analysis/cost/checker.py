@@ -9,8 +9,9 @@ Two rules, both grounded in the engine-timed cost report
   standard blocking grid.  Legal, but leaves cycles on the table;
   the hint names the predicted-optimal blocking to tune toward.
 * **COST-IMBALANCE** (warning) -- under a requested parallel worker
-  count, the nr-aligned column partition (exactly
-  :meth:`repro.core.parallel.ParallelMixGemm._partition`) gives some
+  count, the nr-aligned column partition
+  (:func:`repro.core.parallel.column_partition`, the one
+  :class:`~repro.core.parallel.ParallelMixGemm` runs) gives some
   worker a predicted-cycle share far from the others (or leaves
   workers idle), so the parallel speedup cannot approach the core
   count.
@@ -23,7 +24,6 @@ to M in the leading term, so the verdicts match any deployment batch.
 from __future__ import annotations
 
 import dataclasses
-import math
 from typing import Optional
 
 from repro.analysis.contracts.overflow import node_config
@@ -35,6 +35,7 @@ from repro.core.config import (
     blocking_candidates,
 )
 from repro.core.isa import KernelCosts
+from repro.core.parallel import column_partition
 
 from .graph import DEFAULT_ASSUMED_M
 from .model import predict_gemm
@@ -63,19 +64,6 @@ def _runtime_blocking() -> BlockingParams:
     from repro.runtime.engine import SIM_BLOCKING
 
     return SIM_BLOCKING
-
-
-def _partition(n: int, cores: int, nr: int) -> list[tuple[int, int]]:
-    """Replicates ``ParallelMixGemm._partition`` without an executor."""
-    chunk = math.ceil(n / cores)
-    chunk = max(nr, math.ceil(chunk / nr) * nr)
-    slices = []
-    start = 0
-    while start < n:
-        end = min(n, start + chunk)
-        slices.append((start, end))
-        start = end
-    return slices
 
 
 def check_cost(graph, *,
@@ -133,7 +121,7 @@ def check_cost(graph, *,
             ))
 
         if workers > 1:
-            slices = _partition(n, workers, blocking.nr)
+            slices = column_partition(n, workers, blocking.nr)
             slice_cycles = [
                 predict_gemm(config, costs, assumed_m, end - start,
                              k).cycles

@@ -99,10 +99,7 @@ def iter_plan_gemms(plan) -> Iterator[tuple[str, str, list]]:
     yield nothing.
     """
     for step in plan.steps:
-        gemms = list(getattr(step, "gemms", []))
-        single = getattr(step, "gemm", None)
-        if single is not None:
-            gemms.append(single)
+        gemms = getattr(step, "gemms", [])
         if not gemms or gemms[0].config is None:
             continue
         label = getattr(step, "stats_label", step.label)

@@ -44,7 +44,6 @@ from repro.analysis.contracts.overflow import node_config
 from repro.analysis.diagnostics import AnalysisError
 from repro.core.binseg import accumulator_bits_required
 from repro.core.config import BlockingParams, DEFAULT_ACCMEM_BITS
-from repro.core.packing import aligned_kc
 from repro.nn.functional_quant import weight_absmax_scale
 from repro.quant.affine import QuantParams, quantize
 
@@ -368,9 +367,7 @@ class _GraphInterpreter:
             return None
         fpg = out_channels // groups
 
-        layout = config.layout
-        kc_logical = aligned_kc(self.blocking.kc * layout.elems_a,
-                                layout.group_elements)
+        kc_logical = config.kc_elements
         rec = GemmRangeRecord(
             label=label, op=node.op, config_name=config.name, k=k,
             kc_logical=kc_logical, group_count=groups,

@@ -237,11 +237,8 @@ def verify_plan(plan, *,
         quant_gemm = getattr(step, "quant", step.op == "quant_linear") \
             and getattr(step, "backend", "") == "mixgemm"
         if quant_gemm and rec is not None:
-            gemms = getattr(step, "gemms", None)
-            if gemms is None:
-                single = getattr(step, "gemm", None)
-                gemms = [single] if single is not None else []
-                spatial = False
+            gemms = step.gemms
+            spatial = step.op != "quant_linear"
             if len(gemms) != rec.group_count:
                 diags.append(_diag(
                     step.label, path,

@@ -12,14 +12,23 @@ Two interchangeable backends compute Algorithm 1:
   and instruction counts match the event backend exactly on guard-free
   runs.
 
-``resolve_backend`` is the single decision point.  Fidelity demands
-always win: a fault hook, pack guard or memory system needs to observe
-individual packs/accumulations/accesses, which only the event backend
-models, so their presence forces ``event`` even when ``fast`` was
-requested explicitly.  The same applies to register blockings where
-``mc``/``nc`` are not multiples of ``mr``/``nr`` -- there the event
-path's edge tiles overlap neighbouring cache blocks, an accounting the
-fast path deliberately refuses to reproduce.
+``resolve_backend`` is the single decision point: ``MixGemm.gemm`` and
+the compiled plan's bound GEMMs both run whatever it returns, and
+nothing revises the choice afterwards.  Fidelity demands always win: a
+fault hook, pack guard or memory system needs to observe individual
+packs/accumulations/accesses, which only the event backend models, so
+their presence forces ``event`` even when ``fast`` was requested
+explicitly.  The same applies to register blockings where ``mc``/``nc``
+are not multiples of ``mr``/``nr`` -- there the event path's edge tiles
+overlap neighbouring cache blocks, an accounting the fast path
+deliberately refuses to reproduce.
+
+Unless ``event`` was asked for, one more configuration routes to it:
+an AccMem wider than the 64-bit container whose Eq. 5 bound over one
+kc-block (:func:`~repro.core.binseg.worst_case_inner_product` of
+:attr:`~repro.core.config.MixGemmConfig.kc_elements`) reaches
+``2**63``.  The fast path accumulates blocks in int64, which would wrap
+where that AccMem carries; the bignum-backed event engine does not.
 
 Under ``auto`` (the default), datapath emulation additionally routes to
 ``event``: callers asking for ``emulate_datapath=True`` want the binary
@@ -32,13 +41,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
-from .config import EXECUTION_BACKENDS, MixGemmConfig
+from .binseg import worst_case_inner_product
+from .config import ACCMEM_CONTAINER_BITS, EXECUTION_BACKENDS, MixGemmConfig
 from .errors import ReproError
 
 #: Canonical backend names (also see ``EXECUTION_BACKENDS`` in config).
 EVENT = "event"
 FAST = "fast"
 AUTO = "auto"
+
+#: First magnitude the fast path's int64 block accumulator cannot hold.
+_INT64_HALF = 1 << 63
 
 
 class BackendError(ReproError, ValueError):
@@ -68,10 +81,10 @@ def resolve_backend(
 ) -> BackendDecision:
     """Pick the execution backend for one GEMM call.
 
-    ``requested`` is ``event``, ``fast`` or ``auto`` (normally taken from
-    ``MixGemmConfig.backend`` or the ``MixGemm(backend=...)`` override).
-    Hooks that need event fidelity force the event backend regardless of
-    the request; see the module docstring for the full rule set.
+    ``requested`` is ``event``, ``fast`` or ``auto`` (the
+    ``MixGemm(backend=...)`` argument).  Hooks that need event fidelity
+    force the event backend regardless of the request; see the module
+    docstring for the full rule set.
     """
     if requested not in EXECUTION_BACKENDS:
         raise BackendError(
@@ -99,6 +112,17 @@ def resolve_backend(
         )
     if requested == EVENT:
         return BackendDecision(EVENT, "event backend explicitly requested")
+    bits = config.accmem_bits
+    if bits > ACCMEM_CONTAINER_BITS:
+        block_bound = worst_case_inner_product(
+            config.kc_elements, config.bw_a, config.bw_b,
+            signed_a=config.signed_a, signed_b=config.signed_b)
+        if block_bound >= _INT64_HALF:
+            return BackendDecision(
+                EVENT,
+                f"accmem_bits={bits} with block bound {block_bound} "
+                f">= 2**63 exceeds int64 accumulation",
+            )
     if requested == FAST:
         return BackendDecision(FAST, "fast backend explicitly requested")
     if emulate_datapath:

@@ -42,7 +42,7 @@ DEFAULT_ACCMEM_BITS = 64
 #: hard-coding the literal (enforced by lint rule REP010).
 ACCMEM_CONTAINER_BITS = 64
 
-#: Execution backends a :class:`MixGemmConfig` may request (see
+#: Execution backends a GEMM call may request (see
 #: :mod:`repro.core.backend` for the dispatch rules).
 EXECUTION_BACKENDS = ("event", "fast", "auto")
 
@@ -52,6 +52,11 @@ def elements_per_uvector(bw: int, word_bits: int = WORD_BITS) -> int:
     if bw not in SUPPORTED_BITWIDTHS:
         raise BinSegError(f"unsupported element width: {bw}")
     return word_bits // bw
+
+
+def aligned_kc(kc: int, group_elements: int) -> int:
+    """Round the kc blocking down to a whole number of groups (min 1)."""
+    return max(group_elements, (kc // group_elements) * group_elements)
 
 
 def select_ku(
@@ -285,15 +290,10 @@ class MixGemmConfig:
     accmem_bits: int = DEFAULT_ACCMEM_BITS
     kua: int | None = None
     kub: int | None = None
-    backend: str = "auto"
 
     def __post_init__(self) -> None:
         if self.source_buffer_depth < 1:
             raise ValueError("source_buffer_depth must be positive")
-        if self.backend not in EXECUTION_BACKENDS:
-            raise ValueError(
-                f"backend={self.backend!r} not one of {EXECUTION_BACKENDS}"
-            )
         if not 8 <= self.accmem_bits <= 128:
             raise ValueError(
                 f"accmem_bits={self.accmem_bits} outside the buildable "
@@ -328,6 +328,20 @@ class MixGemmConfig:
             kub=self.kub,
             word_bits=self.word_bits,
         )
+
+    @property
+    def kc_elements(self) -> int:
+        """Logical k span of one kc-block.
+
+        ``blocking.kc`` counts A u-vectors (Table I), so one block is
+        ``kc * elems_a`` elements deep, rounded down to whole
+        accumulation groups (at least one) so a block never splits a
+        u-vector.  Every consumer of the kc split -- the event loop nest,
+        the fast path's per-block wrap, the Eq. 5 routing rule and the
+        static analyses -- reads this one figure.
+        """
+        lay = self.layout
+        return aligned_kc(self.blocking.kc * lay.elems_a, lay.group_elements)
 
     @property
     def macs_per_cycle(self) -> int:

@@ -47,8 +47,9 @@ counters and instruction counts match the event backend exactly -- the
 differential suite in ``tests/core/test_fastpath.py`` asserts equality,
 not approximation.  Configurations the model cannot reproduce (register
 blockings that overlap cache blocks, >64-bit AccMems near int64
-overflow) refuse via :class:`FastPathFallback` and run on the event
-backend instead; :mod:`repro.core.backend` makes that routing decision.
+overflow) never reach this module:
+:func:`repro.core.backend.resolve_backend` routes them to the event
+backend before dispatch.
 """
 
 from __future__ import annotations
@@ -59,36 +60,17 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .binseg import BinSegError, ceil_div, value_range
+from .binseg import ceil_div, worst_case_inner_product
 from .config import ACCMEM_CONTAINER_BITS, MixGemmConfig
 from .isa import BS_SET_COST
-from .microengine import PmuCounters
-from .packing import (
-    _check_matrix,
-    aligned_kc,
-    create_micro_panel,
-    pack_matrix_a,
-    pack_matrix_b,
-)
+from .packing import create_micro_panel, pack_matrix_a, pack_matrix_b
 
 if TYPE_CHECKING:  # imported lazily at runtime to keep gemm -> fastpath
-    from .gemm import GemmResult, KernelCosts  # one-directional at load
+    from .gemm import KernelCosts  # one-directional at load
 
 #: Magnitudes below these are integers float32 / float64 hold exactly.
 _FLOAT32_EXACT = 1 << 24
 _FLOAT64_EXACT = 1 << 53
-
-#: First magnitude an int64 accumulator cannot represent.
-_INT64_HALF = 1 << 63
-
-
-class FastPathFallback(Exception):  # repro: noqa REP001
-    """The fast path cannot reproduce this run; use the event backend.
-
-    Deliberately *not* a :class:`~repro.core.errors.ReproError`: it is
-    an internal control-flow signal consumed by ``MixGemm.gemm``, never
-    an error surfaced to callers.
-    """
 
 
 def wrap_signed_array(values: np.ndarray, bits: int) -> np.ndarray:
@@ -138,20 +120,6 @@ class FastPathTiming:
     ip_instructions: int
     get_instructions: int
 
-    def to_pmu(self) -> PmuCounters:
-        """Materialize the equivalent PMU counter block."""
-        return PmuCounters(
-            cycles_total=self.cycles,
-            buffer_full_stall_cycles=self.buffer_full_stall_cycles,
-            get_stall_cycles=self.get_stall_cycles,
-            engine_busy_cycles=self.engine_busy_cycles,
-            groups=self.groups,
-            macs=self.macs,
-            ip_instructions=self.ip_instructions,
-            get_instructions=self.get_instructions,
-            set_instructions=1,
-        )
-
 
 def tile_signature(config: MixGemmConfig) -> tuple:
     """Everything one micro-kernel's timing depends on.
@@ -159,10 +127,10 @@ def tile_signature(config: MixGemmConfig) -> tuple:
     The operand formats (bitwidths and signedness), the u-vector
     geometry (``word_bits``, ``kua``/``kub``), the engine datapath
     (``mul_width``, ``source_buffer_depth``) and the register tile
-    (``mr``/``nr``).  The cache blocking (mc/nc/kc), the AccMem width and
-    the backend are deliberately left out: one micro-kernel times one
-    register tile of ``n_groups`` full groups, so configs differing only
-    in those share one engine run.
+    (``mr``/``nr``).  The cache blocking (mc/nc/kc) and the AccMem width
+    are deliberately left out: one micro-kernel times one register tile
+    of ``n_groups`` full groups, so configs differing only in those
+    share one engine run.
     """
     lay = config.layout
     blk = config.blocking
@@ -248,15 +216,6 @@ def _run_tile(config: MixGemmConfig, costs: "KernelCosts",
     )
 
 
-def _kc_and_product_bound(config: MixGemmConfig) -> tuple[int, int]:
-    """``(kc_eff, max|a*b|)``: the kc-block length and Eq. 5 product bound."""
-    lay = config.layout
-    kc_eff = aligned_kc(config.blocking.kc * lay.elems_a, lay.group_elements)
-    lo_a, hi_a = value_range(config.bw_a, config.signed_a)
-    lo_b, hi_b = value_range(config.bw_b, config.signed_b)
-    return kc_eff, max(-lo_a, hi_a) * max(-lo_b, hi_b)
-
-
 def exact_dtype(bound: int) -> type:
     """Narrowest type whose arithmetic is exact on sums bounded by ``bound``."""
     if bound < _FLOAT32_EXACT:
@@ -264,25 +223,6 @@ def exact_dtype(bound: int) -> type:
     if bound < _FLOAT64_EXACT:
         return np.float64
     return np.int64
-
-
-def fastpath_applicable(config: MixGemmConfig, k: int) -> str | None:
-    """Why the fast path must refuse this run, or ``None`` if it can go.
-
-    Mirrors the refusal checks of :func:`run_fastpath` (same order) so a
-    compiled plan can decide *once* whether a layer will ride the fast
-    path without paying an exception on every call.
-    """
-    blk = config.blocking
-    if blk.mc % blk.mr or blk.nc % blk.nr:
-        return "edge tiles overlap cache blocks; event backend required"
-    kc_eff, prod_max = _kc_and_product_bound(config)
-    bits = config.accmem_bits
-    block_bound = min(kc_eff, max(k, 1)) * prod_max
-    if bits > ACCMEM_CONTAINER_BITS and block_bound >= _INT64_HALF:
-        return (f"accmem_bits={bits} with block bound {block_bound} "
-                f">= 2**63 exceeds int64 accumulation")
-    return None
 
 
 def gemm_tile_counts(config: MixGemmConfig, m: int,
@@ -302,10 +242,9 @@ def kblock_group_counts(config: MixGemmConfig, k: int) -> list[int]:
     At most two distinct values appear (full blocks plus one tail), so
     downstream assembly is O(1) in K after this split.
     """
-    lay = config.layout
-    kc_eff = aligned_kc(config.blocking.kc * lay.elems_a,
-                        lay.group_elements)
-    return [ceil_div(min(kc_eff, k - pc), lay.group_elements)
+    kc_eff = config.kc_elements
+    group = config.layout.group_elements
+    return [ceil_div(min(kc_eff, k - pc), group)
             for pc in range(0, k, kc_eff)]
 
 
@@ -318,7 +257,8 @@ def fastpath_timing(config: MixGemmConfig, costs: "KernelCosts", m: int,
     n, k)`` -- :func:`tile_timing` is data independent and the blocked
     loop geometry depends only on the shape -- so a compiled plan can
     look the whole-GEMM timing up once and reuse it on every call.
-    Caller must have cleared :func:`fastpath_applicable` first.
+    Only meaningful for configs :func:`~repro.core.backend.resolve_backend`
+    routes to the fast backend.
     """
     row_tiles, col_tiles = gemm_tile_counts(config, m, n)
     tiles_per_kblock = row_tiles * col_tiles
@@ -352,8 +292,10 @@ class FastGemmKernel:
     """The fast path's exact blocked GEMM with the B operand baked in.
 
     Built once from ``(config, validated int64 B)``; owns the kc-block
-    split, each block's operand type (:func:`exact_dtype` of its Eq. 5
-    bound) and the per-block AccMem wrap.  ``blocks`` holds
+    split (:attr:`~repro.core.config.MixGemmConfig.kc_elements`), each
+    block's operand type (:func:`exact_dtype` of its Eq. 5 bound,
+    :func:`~repro.core.binseg.worst_case_inner_product`) and the
+    per-block AccMem wrap.  ``blocks`` holds
     ``(k-slice, B panel, dtype)`` triples and is the only place the
     panels live, so a plan exporter can rebind them and the
     plan-equivalence verifier can read them.
@@ -368,17 +310,20 @@ class FastGemmKernel:
 
     def __init__(self, config: MixGemmConfig, b: np.ndarray) -> None:
         k, self.n = b.shape
-        self.kc_eff, prod_max = _kc_and_product_bound(config)
+        self.kc_eff = config.kc_elements
+        bound = functools.partial(
+            worst_case_inner_product, bw_a=config.bw_a, bw_b=config.bw_b,
+            signed_a=config.signed_a, signed_b=config.signed_b)
         bits = config.accmem_bits
         self.wrap_bits = bits if bits < ACCMEM_CONTAINER_BITS else None
         self.blocks: list[tuple[slice, np.ndarray, type]] = []
         for pc in range(0, k, self.kc_eff):
             kc_blk = min(self.kc_eff, k - pc)
-            dtype = exact_dtype(kc_blk * prod_max)
+            dtype = exact_dtype(bound(kc_blk))
             self.blocks.append((slice(pc, pc + kc_blk),
                                 b[pc:pc + kc_blk].astype(dtype), dtype))
         if self.wrap_bits is None:
-            self.acc_dtype = exact_dtype(k * prod_max)
+            self.acc_dtype = exact_dtype(bound(k))
             narrow = all(d is np.float32 for _, _, d in self.blocks)
         else:
             self.acc_dtype = np.int64
@@ -402,60 +347,3 @@ class FastGemmKernel:
         for sl, b_blk, dtype in self.blocks:
             c += self._block(a[:, sl], b_blk, dtype)
         return c
-
-
-def run_fastpath(config: MixGemmConfig, costs: "KernelCosts", a: np.ndarray,
-                 b: np.ndarray,
-                 c: np.ndarray | None = None) -> "GemmResult":
-    """Compute one GEMM on the fast path; returns a ``GemmResult``.
-
-    Validation mirrors ``MixGemm.gemm`` + the packers step for step so
-    both backends raise the same :class:`BinSegError` in the same order
-    on malformed inputs.  Raises :class:`FastPathFallback` when only the
-    event backend can reproduce the run.
-    """
-    from .gemm import GemmResult
-
-    a_arr = np.asarray(a)
-    b_arr = np.asarray(b)
-    if a_arr.ndim != 2 or b_arr.ndim != 2:
-        raise BinSegError("gemm expects 2-D operands")
-    m, k = a_arr.shape
-    kb, n = b_arr.shape
-    if k != kb:
-        raise BinSegError(f"inner dimensions differ: {k} vs {kb}")
-    if c is None:
-        c = np.zeros((m, n), dtype=np.int64)
-    elif c.shape != (m, n):
-        raise BinSegError(f"C shape {c.shape} does not match ({m}, {n})")
-
-    a64 = _check_matrix(a_arr, config.bw_a, config.signed_a, "A")
-    if k == 0 and m > 0:
-        raise BinSegError("cannot pack an empty k vector")
-    b64 = _check_matrix(b_arr, config.bw_b, config.signed_b, "B")
-    if k == 0 and n > 0:
-        raise BinSegError("cannot pack an empty k vector")
-
-    refusal = fastpath_applicable(config, k)
-    if refusal is not None:
-        # The >64-bit AccMem case would carry where int64 wraps; only
-        # the bignum-backed event engine models that faithfully.
-        raise FastPathFallback(refusal)
-
-    timing = fastpath_timing(config, costs, m, n, k)
-    c += FastGemmKernel(config, b64)(a64).astype(np.int64, copy=False)
-
-    pmu = timing.to_pmu()
-    return GemmResult(
-        c=c,
-        cycles=timing.cycles,
-        macs=m * n * k,
-        pmu=pmu,
-        config=config,
-        instructions={
-            "bs.set": pmu.set_instructions,
-            "bs.ip": pmu.ip_instructions,
-            "bs.get": pmu.get_instructions,
-        },
-        backend="fast",
-    )

@@ -24,16 +24,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .backend import EVENT, FAST, BackendDecision, resolve_backend
+from .backend import AUTO, EVENT, FAST, BackendDecision, resolve_backend
 from .binseg import BinSegError, ceil_div
 from .config import MixGemmConfig
+from .fastpath import FastGemmKernel, fastpath_timing
 from .isa import KernelCosts
 from .microengine import MicroEngine, PmuCounters
 from .packcache import PackingCache
 from .packing import (
     MicroPanel,
     PackedMatrix,
-    aligned_kc,
+    _check_matrix,
     create_micro_panel,
     pack_matrix_a,
     pack_matrix_b,
@@ -76,9 +77,9 @@ class MixGemm:
     Parameters
     ----------
     config:
-        Data sizes, blocking and buffer depth.  ``kc`` is re-aligned to a
-        whole number of accumulation groups so packed k-slices never split
-        a u-vector.
+        Data sizes, blocking and buffer depth.  Each kc-block spans
+        :attr:`~repro.core.config.MixGemmConfig.kc_elements` logical
+        elements, so packed k-slices never split a u-vector.
     emulate_datapath:
         Forwarded to the engine: route every accumulation through the
         binary-segmentation pack/multiply/slice pipeline (slow, bit-exact
@@ -107,11 +108,12 @@ class MixGemm:
         bound.  Guard failures raise
         :class:`repro.robustness.errors.GuardError`.
     backend:
-        ``"event"``, ``"fast"`` or ``"auto"``; overrides
-        ``config.backend``.  Dispatch happens per :meth:`gemm` call via
-        :func:`repro.core.backend.resolve_backend`; hooks that need
-        event fidelity always win.  The decision taken by the last call
-        is kept on :attr:`last_decision`.
+        ``"event"``, ``"fast"`` or ``"auto"`` (the default).  Each
+        :meth:`gemm` call runs the backend
+        :func:`repro.core.backend.resolve_backend` picks -- hooks that
+        need event fidelity, misaligned blockings and >64-bit AccMems
+        past int64 always get ``event`` -- and keeps that decision on
+        :attr:`last_decision`.
     pack_cache:
         Optional :class:`~repro.core.packcache.PackingCache` consulted
         before packing either operand on the event path (the fast path
@@ -128,7 +130,7 @@ class MixGemm:
         memory=None,
         fault_hook=None,
         pack_guard=None,
-        backend: str | None = None,
+        backend: str = AUTO,
         pack_cache: PackingCache | None = None,
     ) -> None:
         self.config = config
@@ -137,15 +139,11 @@ class MixGemm:
         self.fault_hook = fault_hook
         self.pack_guard = pack_guard
         self.emulate_datapath = emulate_datapath
-        self.backend = backend if backend is not None else config.backend
+        self.backend = backend
         self.pack_cache = pack_cache
         self.last_decision: BackendDecision | None = None
         self.engine = MicroEngine(emulate_datapath=emulate_datapath,
                                   fault_hook=fault_hook)
-        # kc counts 64-bit u-vectors; convert to logical elements and align
-        # to whole accumulation groups so k-slices never split a u-vector.
-        self._kc = aligned_kc(config.blocking.kc * config.layout.elems_a,
-                              config.layout.group_elements)
 
     # -- public API -----------------------------------------------------------
 
@@ -170,21 +168,14 @@ class MixGemm:
         elif c.shape != (m, n):
             raise BinSegError(f"C shape {c.shape} does not match ({m}, {n})")
 
-        decision = resolve_backend(
+        self.last_decision = resolve_backend(
             self.backend, self.config,
             emulate_datapath=self.emulate_datapath,
             memory=self.memory, fault_hook=self.fault_hook,
             pack_guard=self.pack_guard,
         )
-        self.last_decision = decision
-        if decision.backend == FAST:
-            from .fastpath import FastPathFallback, run_fastpath
-            try:
-                result = run_fastpath(self.config, self.costs, a, b, c)
-            except FastPathFallback as fallback:
-                self.last_decision = BackendDecision(EVENT, str(fallback))
-            else:
-                return self._fold_fast_result(result)
+        if self.last_decision.backend == FAST:
+            return self._fast_gemm(a, b, c)
 
         if self.pack_cache is not None:
             packed_a = self.pack_cache.get_or_pack("A", a, self.config)
@@ -207,13 +198,14 @@ class MixGemm:
             self.pack_guard.verify(packed_b, sum_b, "B")
 
         blk = self.config.blocking
+        kc_eff = self.config.kc_elements
         self.engine.set_config(self.config)  # bs.set, once per GEMM
 
         # M-GEMM: jc over n, pc over k, ic over m (Algorithm 1 lines 21-28).
         for jc in range(0, n, blk.nc):
             nc = min(blk.nc, n - jc)
-            for pc in range(0, k, self._kc):
-                kc = min(self._kc, k - pc)
+            for pc in range(0, k, kc_eff):
+                kc = min(kc_eff, k - pc)
                 for ic in range(0, m, blk.mc):
                     mc = min(blk.mc, m - ic)
                     self._macro_kernel(
@@ -240,37 +232,58 @@ class MixGemm:
             },
         )
 
-    def _fold_fast_result(self, result: GemmResult) -> GemmResult:
-        """Fold a fast-path run into the executor's cumulative engine state.
+    def _fast_gemm(self, a: np.ndarray, b: np.ndarray,
+                   c: np.ndarray) -> GemmResult:
+        """The fast backend's branch of :meth:`gemm`.
 
-        The event backend never resets between :meth:`gemm` calls: the
-        engine clock and PMU accumulate, so a reused executor reports
-        cumulative cycles and instruction counts.  A fast run models the
-        same ``bs.set`` (which also resets the AccMem) and the same
-        modelled cycles, so interleaving backends on one executor stays
-        exactly cycle- and counter-compatible with an all-event history.
+        Validates the operands in the packers' order, so both backends
+        raise the same :class:`BinSegError` on malformed inputs, then
+        adds the :class:`~repro.core.fastpath.FastGemmKernel` product to
+        ``c`` and charges the analytic
+        :func:`~repro.core.fastpath.fastpath_timing`.  The event backend
+        never resets between calls -- the engine clock and PMU
+        accumulate -- so the modelled ``bs.set`` and cycles are folded
+        into the same engine state, keeping a reused executor exactly
+        cycle- and counter-compatible with an all-event history.
         """
+        config = self.config
+        m, k = a.shape
+        n = b.shape[1]
+        a64 = _check_matrix(a, config.bw_a, config.signed_a, "A")
+        if k == 0 and m > 0:
+            raise BinSegError("cannot pack an empty k vector")
+        b64 = _check_matrix(b, config.bw_b, config.signed_b, "B")
+        if k == 0 and n > 0:
+            raise BinSegError("cannot pack an empty k vector")
+
+        timing = fastpath_timing(config, self.costs, m, n, k)
+        c += FastGemmKernel(config, b64)(a64).astype(np.int64, copy=False)
+
         engine = self.engine
-        engine.set_config(self.config)       # the modelled bs.set
-        engine.advance(result.cycles - 1)    # everything after it
+        engine.set_config(config)            # the modelled bs.set
+        engine.advance(timing.cycles - 1)    # everything after it
         pmu = engine.pmu
-        delta = result.pmu
-        pmu.engine_busy_cycles += delta.engine_busy_cycles
-        pmu.buffer_full_stall_cycles += delta.buffer_full_stall_cycles
-        pmu.get_stall_cycles += delta.get_stall_cycles
-        pmu.macs += delta.macs
-        pmu.groups += delta.groups
-        pmu.ip_instructions += delta.ip_instructions
-        pmu.get_instructions += delta.get_instructions
+        pmu.engine_busy_cycles += timing.engine_busy_cycles
+        pmu.buffer_full_stall_cycles += timing.buffer_full_stall_cycles
+        pmu.get_stall_cycles += timing.get_stall_cycles
+        pmu.macs += timing.macs
+        pmu.groups += timing.groups
+        pmu.ip_instructions += timing.ip_instructions
+        pmu.get_instructions += timing.get_instructions
         pmu.cycles_total = engine.now
-        result.pmu = pmu
-        result.cycles = engine.now
-        result.instructions = {
-            "bs.set": pmu.set_instructions,
-            "bs.ip": pmu.ip_instructions,
-            "bs.get": pmu.get_instructions,
-        }
-        return result
+        return GemmResult(
+            c=c,
+            cycles=engine.now,
+            macs=m * n * k,
+            pmu=pmu,
+            config=config,
+            instructions={
+                "bs.set": pmu.set_instructions,
+                "bs.ip": pmu.ip_instructions,
+                "bs.get": pmu.get_instructions,
+            },
+            backend=FAST,
+        )
 
     # -- Algorithm 1 internals --------------------------------------------------
 

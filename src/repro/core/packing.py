@@ -353,8 +353,3 @@ def create_panel(
     )
     return Panel(micro_panels=micro, run_offset=run_lo,
                  k_offset=k_lo, kc=k_hi - k_lo)
-
-
-def aligned_kc(kc: int, group_elements: int) -> int:
-    """Round the kc blocking down to a whole number of groups (min 1)."""
-    return max(group_elements, (kc // group_elements) * group_elements)

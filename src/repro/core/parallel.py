@@ -33,6 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .backend import AUTO
 from .binseg import BinSegError
 from .config import MixGemmConfig
 from .gemm import GemmResult, KernelCosts, MixGemm
@@ -74,6 +75,20 @@ class ParallelGemmResult:
         return 2.0 * self.macs_per_cycle * freq_ghz
 
 
+def column_partition(n: int, cores: int, nr: int) -> list[tuple[int, int]]:
+    """Split N into per-core ``(lo, hi)`` column slices, nr-aligned when
+    possible; fewer than ``cores`` slices when N is too narrow."""
+    chunk = math.ceil(n / cores)
+    chunk = max(nr, math.ceil(chunk / nr) * nr)
+    slices = []
+    start = 0
+    while start < n:
+        end = min(n, start + chunk)
+        slices.append((start, end))
+        start = end
+    return slices
+
+
 class ParallelMixGemm:
     """N-dimension-parallel Mix-GEMM over per-core u-engines."""
 
@@ -85,7 +100,7 @@ class ParallelMixGemm:
         emulate_datapath: bool = False,
         costs: KernelCosts | None = None,
         barrier_cycles: int = DEFAULT_BARRIER_CYCLES,
-        backend: str | None = None,
+        backend: str = AUTO,
         pack_cache: PackingCache | None = None,
         threaded: bool | None = None,
     ) -> None:
@@ -108,19 +123,6 @@ class ParallelMixGemm:
                     backend=backend, pack_cache=pack_cache)
             for _ in range(cores)
         ]
-
-    def _partition(self, n: int, cores: int) -> list[tuple[int, int]]:
-        """Split N into per-core column slices, nr-aligned when possible."""
-        nr = self.config.blocking.nr
-        chunk = math.ceil(n / cores)
-        chunk = max(nr, math.ceil(chunk / nr) * nr)
-        slices = []
-        start = 0
-        while start < n:
-            end = min(n, start + chunk)
-            slices.append((start, end))
-            start = end
-        return slices
 
     @staticmethod
     def _run_slice(executor: MixGemm, a: np.ndarray,
@@ -161,7 +163,7 @@ class ParallelMixGemm:
         m, k = a.shape
         n = b.shape[1]
         c = np.zeros((m, n), dtype=np.int64)
-        slices = self._partition(n, cores)
+        slices = column_partition(n, cores, self.config.blocking.nr)
         with self._gemm_lock:
             if self.threaded and len(slices) > 1:
                 with ThreadPoolExecutor(

@@ -40,7 +40,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.core.binseg import value_range
+from repro.core.binseg import worst_case_inner_product
 from repro.core.config import MixGemmConfig
 from repro.core.packing import PackedMatrix
 
@@ -94,11 +94,9 @@ def packed_checksum(packed: PackedMatrix) -> int:
 
 def accumulator_bound(k: int, config: MixGemmConfig) -> int:
     """Largest |C| value a k-deep inner product can legally produce."""
-    lo_a, hi_a = value_range(config.bw_a, config.signed_a)
-    lo_b, hi_b = value_range(config.bw_b, config.signed_b)
-    amax = max(abs(lo_a), abs(hi_a))
-    bmax = max(abs(lo_b), abs(hi_b))
-    return k * amax * bmax
+    return worst_case_inner_product(k, config.bw_a, config.bw_b,
+                                    signed_a=config.signed_a,
+                                    signed_b=config.signed_b)
 
 
 class PackGuard:

@@ -19,14 +19,14 @@ weights once per deployment and keeps the hot loop pure arithmetic;
   :class:`~repro.core.packcache.PackingCache`, and one reusable
   executor is bound per (config, layer) instead of one per call;
 * fast-backend weight operands are validated once and baked into a
-  :class:`~repro.core.fastpath.FastGemmKernel` -- the same kernel
-  :func:`~repro.core.fastpath.run_fastpath` runs -- which splits them
-  into kc-blocks in the narrowest exact type, with per-call cycles
-  served by the memoized :func:`~repro.core.fastpath.fastpath_timing`
-  oracle.  When every block of a layer is float32 and the AccMem does
-  not wrap, the layer never widens: activation codes, the lowering
-  buffer and the GEMM result all stay float32 until the epilogue's
-  float64 dequantization.
+  :class:`~repro.core.fastpath.FastGemmKernel` -- the same kernel a
+  fast-backend :meth:`~repro.core.gemm.MixGemm.gemm` runs -- which
+  splits them into kc-blocks in the narrowest exact type, with per-call
+  cycles served by the memoized
+  :func:`~repro.core.fastpath.fastpath_timing` oracle.  When every block
+  of a layer is float32 and the AccMem does not wrap, the layer never
+  widens: activation codes, the lowering buffer and the GEMM result all
+  stay float32 until the epilogue's float64 dequantization.
 
 Guarded execution
 -----------------
@@ -47,8 +47,8 @@ plan runs.
 Bit-exactness is a design invariant, not an aspiration: every float
 operation the plan executes is the numpy expression the quantized
 training forward evaluates (shared kernels live in
-:mod:`repro.runtime.ops`), the GEMM runs the very kernel
-:func:`~repro.core.fastpath.run_fastpath` runs (exact integers in a
+:mod:`repro.runtime.ops`), the GEMM runs the very kernel a fast-backend
+:meth:`~repro.core.gemm.MixGemm.gemm` runs (exact integers in a
 float32 container convert to the identical float64), and the
 BN/activation "fusion" hoists only *constant computation* -- the
 per-element float sequence is untouched.  ``tests/runtime/test_plan.py``
@@ -103,7 +103,6 @@ from repro.core.config import (
 )
 from repro.core.fastpath import (
     FastGemmKernel,
-    fastpath_applicable,
     fastpath_timing,
     kblock_group_counts,
 )
@@ -267,12 +266,12 @@ class _RefGemm:
 class _BoundGemm:
     """One (config, layer, group) GEMM with the weight operand baked in.
 
-    The backend decision is taken **once** at bind time with the rules
+    The backend decision is taken **once** at bind time by
+    :func:`~repro.core.backend.resolve_backend`, the rule
     :class:`~repro.core.gemm.MixGemm` applies per call (an unguarded
-    plan has no hooks, so :func:`~repro.core.backend.resolve_backend`
-    sees the identical inputs).  The fast mode holds the
-    :class:`~repro.core.fastpath.FastGemmKernel`
-    :func:`~repro.core.fastpath.run_fastpath` would build, with the
+    plan has no hooks, so it sees the identical inputs).  The fast mode
+    holds the :class:`~repro.core.fastpath.FastGemmKernel` a fast
+    :meth:`~repro.core.gemm.MixGemm.gemm` would build, with the
     weight-side validation and the timing lookup hoisted out of the
     call.  The event mode keeps one reusable
     :class:`~repro.core.gemm.MixGemm`; per-call cycles are the engine
@@ -289,11 +288,7 @@ class _BoundGemm:
         self.op = op
         self.k, self.n = b.shape
         self._costs = KernelCosts()
-        decision = resolve_backend(gemm_backend, config,
-                                   emulate_datapath=False)
-        self.mode = ("fast" if decision.is_fast
-                     and fastpath_applicable(config, self.k) is None
-                     else "event")
+        self.mode = resolve_backend(gemm_backend, config).backend
         self.prepacked = False
         if self.mode == "fast":
             self.kernel = FastGemmKernel(
@@ -853,12 +848,13 @@ class _QuantLinearStep(_Step):
         w_q_t = quantize(node.tensors["weight"], wgt_qp).T
         self._out_scale = float(self.act_qp.scale) * wgt_qp.scale
         self._bias = node.tensors.get("bias")
-        self.gemm, = binder.bind(node, label, [w_q_t])
-        self._quant_act = _ActQuantizer(self.act_qp, self.gemm.input_dtype)
+        self.gemms = binder.bind(node, label, [w_q_t])
+        self._quant_act = _ActQuantizer(self.act_qp,
+                                        self.gemms[0].input_dtype)
 
     def __call__(self, arrays: list[np.ndarray],
                  result: InferenceResult) -> np.ndarray:
-        acc = self.gemm(self._quant_act(arrays[0]), result)
+        acc = self.gemms[0](self._quant_act(arrays[0]), result)
         y = acc.astype(np.float64) * self._out_scale
         if self._bias is not None:
             y = y + self._bias
@@ -1099,7 +1095,7 @@ def _compile(graph: GraphModel, backend: str, gemm_backend: str,
 
     bound = prepacked = 0
     for step in steps:
-        for gemm in _step_gemms(step):
+        for gemm in getattr(step, "gemms", ()):
             if gemm.config is not None:
                 bound += 1
                 prepacked += int(gemm.prepacked)
@@ -1119,15 +1115,6 @@ def _compile(graph: GraphModel, backend: str, gemm_backend: str,
         guard_level=guards.level if guards is not None else "off",
     )
     return GraphPlan(graph, steps, info, pack_cache, tap)
-
-
-def _step_gemms(step: _Step) -> list:
-    """The GEMM executors of a quantized step (empty for the rest)."""
-    gemms = getattr(step, "gemms", None)
-    if gemms is not None:
-        return gemms
-    gemm = getattr(step, "gemm", None)
-    return [gemm] if gemm is not None else []
 
 
 # -- zero-copy shared-memory export/attach ------------------------------------
@@ -1243,9 +1230,6 @@ def iter_plan_arrays(plan: GraphPlan) -> Iterator[
                                        f"{base}.ep{ei}")
         for gi, gemm in enumerate(getattr(step, "gemms", [])):
             yield from _gemm_array_slots(f"{base}.g{gi}", gemm)
-        gemm = getattr(step, "gemm", None)
-        if gemm is not None:
-            yield from _gemm_array_slots(f"{base}.gemm", gemm)
         panels = getattr(step, "panels", None)
         if panels is not None:
             for pi in range(len(panels)):

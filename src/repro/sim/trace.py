@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass
 
 from repro.core.config import MixGemmConfig
-from repro.core.packing import aligned_kc
 
 from .cache import CacheHierarchy
 
@@ -113,8 +112,7 @@ def trace_gemm(
     groups_per_run = math.ceil(k / ge)
     a_words_per_run = groups_per_run * lay.kua
     b_words_per_run = groups_per_run * lay.kub
-    kc_elems = aligned_kc(blk.kc * lay.elems_a, ge)
-    groups_per_block = kc_elems // ge
+    groups_per_block = config.kc_elements // ge
 
     loads = 0
     for jc in range(0, n, blk.nc):

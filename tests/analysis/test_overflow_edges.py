@@ -11,7 +11,6 @@ import pytest
 from repro.analysis.contracts.overflow import check_overflow, node_config
 from repro.core.binseg import accumulator_bits_required
 from repro.core.config import BlockingParams
-from repro.core.packing import aligned_kc
 from repro.runtime.engine import SIM_BLOCKING
 from repro.runtime.graph import GraphModel, NodeSpec
 
@@ -27,10 +26,8 @@ def _linear_graph(k, act_bits=8, weight_bits=8):
 
 def _kc_logical(graph, accmem_bits=64):
     node = graph.nodes[0]
-    config = node_config(node, accmem_bits=accmem_bits,
-                         blocking=SIM_BLOCKING)
-    return aligned_kc(SIM_BLOCKING.kc * config.layout.elems_a,
-                      config.layout.group_elements)
+    return node_config(node, accmem_bits=accmem_bits,
+                       blocking=SIM_BLOCKING).kc_elements
 
 
 def _rules(diags):
@@ -64,11 +61,8 @@ class TestKEdgeCases:
         """K > kc: the scalar core folds blocks outside AccMem."""
         small = BlockingParams(mc=16, nc=16, kc=2)
         graph = _linear_graph(100000)
-        kc = aligned_kc(
-            small.kc * node_config(graph.nodes[0], accmem_bits=64,
-                                   blocking=small).layout.elems_a,
-            node_config(graph.nodes[0], accmem_bits=64,
-                        blocking=small).layout.group_elements)
+        kc = node_config(graph.nodes[0], accmem_bits=64,
+                         blocking=small).kc_elements
         assert kc < 100000
         need_block = accumulator_bits_required(kc, 8, 8)
         diags = check_overflow(graph, accmem_bits=need_block,

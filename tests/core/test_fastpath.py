@@ -17,13 +17,11 @@ from repro.core.backend import (
     BackendError,
     resolve_backend,
 )
-from repro.core.binseg import BinSegError
+from repro.core.binseg import BinSegError, worst_case_inner_product
 from repro.core.config import BlockingParams, MixGemmConfig
 from repro.core.fastpath import (
     FastGemmKernel,
-    FastPathFallback,
     exact_dtype,
-    run_fastpath,
     wrap_signed_array,
 )
 from repro.core.gemm import KernelCosts, MixGemm, reference_gemm
@@ -150,8 +148,6 @@ class TestDispatch:
     def test_unknown_backend_rejected(self):
         with pytest.raises(BackendError):
             resolve_backend("vector", make_config())
-        with pytest.raises(ValueError):
-            MixGemmConfig(backend="vector")
 
     def test_auto_guard_free_picks_fast(self):
         assert resolve_backend(AUTO, make_config()).is_fast
@@ -173,6 +169,42 @@ class TestDispatch:
         blk = BlockingParams(mc=10, nc=8, kc=2, mr=4, nr=4)
         decision = resolve_backend(FAST, make_config(blocking=blk))
         assert decision.backend == EVENT
+
+    def test_int64_block_bound_forces_event(self):
+        # The smallest kc whose Eq. 5 block bound reaches 2**63 at
+        # signed a8-w8: 2**46 u-vectors = 2**49 elements * 2**14.
+        kc = 1 << 46
+        config = make_config(accmem_bits=128, blocking=BlockingParams(
+            mc=8, nc=8, kc=kc, mr=4, nr=4))
+        shorter = make_config(accmem_bits=128, blocking=BlockingParams(
+            mc=8, nc=8, kc=kc - 1, mr=4, nr=4))
+        assert worst_case_inner_product(config.kc_elements, 8, 8) \
+            >= 1 << 63
+        assert worst_case_inner_product(shorter.kc_elements, 8, 8) \
+            < 1 << 63
+        assert resolve_backend(FAST, shorter).is_fast
+        a, b = random_operands(config, 5, 37, 6, seed=11)
+        for requested in (FAST, AUTO):
+            decision = resolve_backend(requested, config)
+            assert decision.backend == EVENT
+            assert "exceeds int64 accumulation" in decision.reason
+            executor = MixGemm(config, emulate_datapath=False,
+                               backend=requested)
+            result = executor.gemm(a, b)
+            assert result.backend == EVENT
+            assert executor.last_decision == decision
+            np.testing.assert_array_equal(result.c, reference_gemm(a, b))
+
+    def test_wide_accmem_at_table1_kc_rides_fast(self):
+        # The same 128-bit AccMem at Table-I kc bounds far below 2**63:
+        # fast, and identical to the event engine over two kc-blocks.
+        config = make_config(accmem_bits=128, blocking=BlockingParams())
+        assert config.kc_elements == 2048
+        assert resolve_backend(FAST, config).is_fast
+        assert resolve_backend(AUTO, config).is_fast
+        event, fast = run_both(config, 5, 2100, 6, seed=12)
+        assert fast.backend == FAST
+        assert_identical(event, fast)
 
     def test_executor_records_decision(self):
         config = make_config()
@@ -216,13 +248,6 @@ class TestErrorParity:
         b = np.ones((2, 2), dtype=np.int64)
         with pytest.raises(BinSegError):
             executor.gemm(a, b)
-
-    def test_run_fastpath_refuses_misaligned_blocking(self):
-        blk = BlockingParams(mc=10, nc=8, kc=2, mr=4, nr=4)
-        config = make_config(blocking=blk)
-        a, b = random_operands(config, 4, 4, 4)
-        with pytest.raises(FastPathFallback):
-            run_fastpath(config, KernelCosts(), a, b)
 
 
 class TestWrapSignedArray:
@@ -270,8 +295,9 @@ def extreme_operands(pattern, m, k, n):
 
 
 def assert_kernel_paths_exact(config, a, b):
-    """run_fastpath, a bound plan GEMM, the event backend and the integer
-    reference all agree; returns the bound GEMM for dtype assertions."""
+    """A fast MixGemm, a bound plan GEMM, the event backend and the
+    integer reference all agree; returns the bound GEMM for dtype
+    assertions."""
     want = reference_gemm(a, b)
     event = MixGemm(config, emulate_datapath=False, backend=EVENT).gemm(a, b)
     fast = MixGemm(config, emulate_datapath=False, backend=FAST).gemm(a, b)
@@ -392,6 +418,10 @@ class TestFullDifferentialSweep:
         assert_identical(event, fast)
 
 
+def fast_c(config, a, b):
+    return MixGemm(config, backend=FAST).gemm(a, b).c
+
+
 class TestBlockingOverrideEquivalence:
     """With the full 64-bit container the kc split is a pure schedule
     choice -- every valid blocking produces the identical matrix."""
@@ -402,10 +432,10 @@ class TestBlockingOverrideEquivalence:
 
         base = make_config(accmem_bits=64)
         a, b = random_operands(base, 8, 4096, 8, seed=3)
-        reference = run_fastpath(base, KernelCosts(), a, b).c
+        reference = fast_c(base, a, b)
         cfg = replace(base, blocking=BlockingParams(
             mc=8, nc=8, kc=kc, mr=4, nr=4))
-        got = run_fastpath(cfg, KernelCosts(), a, b).c
+        got = fast_c(cfg, a, b)
         np.testing.assert_array_equal(got, reference)
         np.testing.assert_array_equal(got, a.astype(np.int64) @ b)
 
@@ -417,11 +447,9 @@ class TestBlockingOverrideEquivalence:
         base = make_config(accmem_bits=20, blocking=BlockingParams(
             mc=16, nc=16, kc=16, mr=4, nr=4))
         a, b = random_operands(base, 4, 4096, 4, seed=9)
-        small = run_fastpath(base, KernelCosts(), a, b).c
-        big = run_fastpath(
-            replace(base, blocking=BlockingParams(
-                mc=16, nc=16, kc=1024, mr=4, nr=4)),
-            KernelCosts(), a, b).c
+        small = fast_c(base, a, b)
+        big = fast_c(replace(base, blocking=BlockingParams(
+            mc=16, nc=16, kc=1024, mr=4, nr=4)), a, b)
         assert not np.array_equal(small, big)
 
 
@@ -459,8 +487,8 @@ class TestTimingSource:
         assert done.stdout.strip() == "[]"
 
     def test_one_engine_run_per_tile_signature(self, monkeypatch):
-        """Configs differing only in mc/nc/kc, AccMem width or backend
-        share one engine run, and that run times each of them exactly."""
+        """Configs differing only in mc/nc/kc or AccMem width share one
+        engine run, and that run times each of them exactly."""
         from dataclasses import replace
 
         from repro.core import fastpath
@@ -481,7 +509,6 @@ class TestTimingSource:
             replace(base, blocking=BlockingParams(
                 mc=16, nc=32, kc=256, mr=4, nr=4)),
             replace(base, accmem_bits=64),
-            replace(base, backend="fast"),
         ]
         timings = {fastpath.tile_timing(cfg, costs, 5) for cfg in variants}
         assert len(runs) == 1 and len(timings) == 1

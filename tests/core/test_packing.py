@@ -4,9 +4,13 @@ import numpy as np
 import pytest
 
 from repro.core.binseg import BinSegError
-from repro.core.config import MixGemmConfig, all_size_combinations
-from repro.core.packing import (
+from repro.core.config import (
+    BlockingParams,
+    MixGemmConfig,
     aligned_kc,
+    all_size_combinations,
+)
+from repro.core.packing import (
     create_micro_panel,
     create_panel,
     pack_kvector,
@@ -171,6 +175,19 @@ class TestAlignedKc:
 
     def test_never_below_one_group(self):
         assert aligned_kc(10, 32) == 32
+
+    def test_kc_elements_counts_a_uvectors(self):
+        # Table I: kc = 256 u-vectors of 8-bit A is 2,048 elements; a
+        # kc too short for one group still spans one whole group.
+        assert MixGemmConfig(bw_a=8, bw_b=8).kc_elements == 2048
+        tiny = MixGemmConfig(bw_a=8, bw_b=8,
+                             blocking=BlockingParams(kc=1))
+        assert tiny.kc_elements == tiny.layout.group_elements
+        for bw_a, bw_b in all_size_combinations():
+            cfg = MixGemmConfig(bw_a=bw_a, bw_b=bw_b)
+            lay = cfg.layout
+            assert cfg.kc_elements == aligned_kc(
+                cfg.blocking.kc * lay.elems_a, lay.group_elements)
 
 
 class TestPaddingAcrossAllConfigs:

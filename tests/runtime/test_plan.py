@@ -365,8 +365,6 @@ def _quant_steps(plan):
     """``(step, bound GEMMs)`` for every quantized GEMM step of a plan."""
     for step in plan.steps:
         gemms = getattr(step, "gemms", None)
-        if gemms is None and getattr(step, "gemm", None) is not None:
-            gemms = [step.gemm]
         if gemms:
             yield step, gemms
 

@@ -135,9 +135,7 @@ class TestZeroCopyDiscipline:
             with attach_plan(shared.handle) as attached:
                 start, end = _segment_span(attached.buf)
                 kernels = [gemm.kernel for step in attached.plan.steps
-                           for gemm in (getattr(step, "gemms", None)
-                                        or [getattr(step, "gemm", None)])
-                           if gemm is not None]
+                           for gemm in getattr(step, "gemms", [])]
                 assert kernels
                 for kernel in kernels:
                     arrays = list(_held_arrays(kernel))

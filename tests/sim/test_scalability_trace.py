@@ -82,10 +82,7 @@ class TestTraceValidation:
         )
 
     def _analytic(self, m, n, k, cfg, soc=PAPER_SOC):
-        from repro.core.packing import aligned_kc
-        lay = cfg.layout
-        kc_eff = aligned_kc(cfg.blocking.kc * lay.elems_a,
-                            lay.group_elements)
+        kc_eff = cfg.kc_elements
         return gemm_traffic(
             m, n, k,
             a_bytes_per_element=cfg.bw_a / 8,
