@@ -26,6 +26,10 @@ Per step it checks:
   the same two's-complement semantics);
 * **dequantization affine** -- the step's baked ``out_scale``/bias
   equal the analyzer's exact :class:`AffineChannelMap`;
+* **wide constants** -- every lowering a conv step has cached holds
+  ``np.tile`` of the step's narrow ``out_scale``, bias and folded-BN
+  arrays (the copies its per-call epilogue actually reads), and its
+  remaining epilogue entries are the step's own;
 * **epilogue ranges** -- the step's *actual* fused epilogue closures
   (BN folds, activation fusions) are evaluated on the pre-epilogue
   interval endpoints and must land exactly on the source graph's
@@ -167,6 +171,48 @@ def _affine_equal(scale_a, scale_b, shift_a, shift_b) -> bool:
     return bool(np.array_equal(sa, sb) and np.array_equal(ha, hb))
 
 
+def _check_wide_constants(step, path: str) -> list[Diagnostic]:
+    """Each cached conv lowering's tiled constants vs ``np.tile`` of the
+    step's narrow per-channel arrays, for every element of its output."""
+    diags: list[Diagnostic] = []
+    for shape, low in getattr(step, "_lowerings", {}).items():
+        where = f"lowering for input {shape}"
+        if len(low.epilogue) != len(step.epilogue):
+            diags.append(_diag(
+                step.label, path,
+                f"{where}: {len(low.epilogue)} epilogue entries, the "
+                f"step has {len(step.epilogue)}"))
+            continue
+        pairs = [("dequantization scale", low.out_scale,
+                  getattr(step, "_out_scale", None)),
+                 ("bias", low.bias, getattr(step, "_bias", None))]
+        for i, (wide, narrow) in enumerate(zip(low.epilogue,
+                                               step.epilogue)):
+            if hasattr(narrow, "shift"):  # a folded batchnorm
+                pairs.append((f"epilogue {i} BN scale",
+                              getattr(wide, "scale", None), narrow.scale))
+                pairs.append((f"epilogue {i} BN shift",
+                              getattr(wide, "shift", None), narrow.shift))
+            elif wide is not narrow:
+                diags.append(_diag(
+                    step.label, path,
+                    f"{where}: epilogue entry {i} is not the step's own"))
+        reps = low.out_h * low.out_w
+        for what, wide, narrow in pairs:
+            if narrow is None:
+                ok = wide is None
+            else:
+                ok = wide is not None and np.array_equal(
+                    wide, np.tile(np.ravel(narrow), reps))
+            if not ok:
+                diags.append(_diag(
+                    step.label, path,
+                    f"{where}: tiled {what} diverges from the step's "
+                    f"per-channel constant",
+                    hint="the per-call epilogue reads the tiled copy"))
+    return diags
+
+
 def _epilogue_image(step, base: TensorRange, spatial: bool
                     ) -> Optional[TensorRange]:
     """Interval image of the step's actual fused epilogue closures.
@@ -271,6 +317,7 @@ def verify_plan(plan, *,
                          "global_avg_pool2d"):
             spatial = False
 
+        diags.extend(_check_wide_constants(step, path))
         image = _epilogue_image(step, base, spatial)
         if image is None:
             diags.append(_diag(

@@ -15,6 +15,14 @@ weights once per deployment and keeps the hot loop pure arithmetic;
 * conv lowering state (output geometry, a channels-last zero-halo
   buffer and its window view) is cached per input shape, replacing the
   per-call ``np.pad`` and im2row copy;
+* with it, each conv's per-channel constants (dequantization scale,
+  bias, folded-BN ``scale``/``shift``) are tiled once to one sample's
+  ``oh*ow*Cout`` channels-last width, so the epilogue runs on wide
+  ``(N, oh*ow*Cout)`` rows instead of broadcasting over ``Cout``-long
+  inner loops;
+* every step that produces a fresh output array (all but ``identity``
+  and ``flatten``, which may return their input) finishes it in place:
+  no epilogue entry allocates;
 * event-backend weight panels are pre-packed into the shared
   :class:`~repro.core.packcache.PackingCache`, and one reusable
   executor is bound per (config, layer) instead of one per call;
@@ -486,6 +494,23 @@ class _BnEpilogue:
                  out: Optional[np.ndarray] = None) -> np.ndarray:
         return ops.apply_batchnorm(y, self.scale, self.shift, out=out)
 
+    def tiled(self, reps: int) -> "_BnEpilogue":
+        """This fold with ``scale``/``shift`` tiled for a wide view."""
+        return _BnEpilogue(_tile(self.scale, reps), _tile(self.shift, reps))
+
+
+def _tile(per_channel: Optional[np.ndarray], reps: int
+          ) -> Optional[np.ndarray]:
+    """A per-channel constant repeated ``reps`` times along one axis.
+
+    Broadcast over a sample's ``oh*ow*C`` channels-last elements, the
+    tiled copy pairs every element with its own channel's value, so a
+    ufunc's inner loop runs over the whole row instead of over ``C``.
+    """
+    if per_channel is None:
+        return None
+    return np.tile(np.ravel(per_channel), reps)
+
 
 class _LinearFn:
     """float ``linear`` with rebindable weight/bias arrays (see above)."""
@@ -539,10 +564,13 @@ class _Step:
             y = fn(y)
         return y
 
-    def _finish_in_place(self, y: np.ndarray) -> np.ndarray:
+    def _finish_in_place(self, y: np.ndarray,
+                         epilogue: Optional[list] = None) -> np.ndarray:
         """:meth:`_finish` on an array the step owns: every epilogue
-        entry writes back into ``y`` (same ufuncs, same order)."""
-        for fn in self.epilogue:
+        entry writes back into ``y`` (same ufuncs, same order).
+        ``epilogue`` replaces :attr:`epilogue` with an entry-for-entry
+        equivalent whose constants match ``y``'s layout."""
+        for fn in self.epilogue if epilogue is None else epilogue:
             fn(y, out=y)
         return y
 
@@ -601,7 +629,15 @@ class _GenericStep(_Step):
 
     def __call__(self, arrays: list[np.ndarray],
                  result: InferenceResult) -> np.ndarray:
-        return self._finish(self._fn(*arrays))
+        out = self._fn(*arrays)
+        if self.op in _VIEW_OPS:
+            return self._finish(out)
+        return self._finish_in_place(out)
+
+
+#: Generic ops whose result may be (a view of) their input; every other
+#: op returns a fresh array its step may finish in place.
+_VIEW_OPS = frozenset({"identity", "flatten"})
 
 
 class _ConvLowering:
@@ -617,6 +653,12 @@ class _ConvLowering:
     ``k_order`` -- ``im2row``'s own ``(C, KH, KW)``, or ``(KH, KW, C)``,
     whose window copy moves contiguous channel runs.  Not thread-safe
     (the buffer is shared across calls) -- one plan per worker.
+
+    The owning step also keeps its per-channel constants here, tiled to
+    the ``oh*ow*Cout`` width of one sample's channels-last output:
+    ``out_scale`` (dequantization, ``None`` for a float conv), ``bias``
+    and ``epilogue`` (the step's epilogue with every folded batchnorm
+    tiled).
     """
 
     def __init__(self, x_shape: tuple[int, ...], kh: int, kw: int,
@@ -642,6 +684,9 @@ class _ConvLowering:
             self._buf, shape=lead + tail,
             strides=lead_strides + tail_strides, writeable=False)
         self._rows_shape = (groups, self.m, cpg * kh * kw)
+        self.out_scale: Optional[np.ndarray] = None
+        self.bias: Optional[np.ndarray] = None
+        self.epilogue: list = []
 
     def rows(self) -> np.ndarray:
         # Always a fresh C-contiguous copy: a plain reshape would return
@@ -737,9 +782,12 @@ class _ConvStep(_Step):
 
     Per call: the input (quantized, for ``quant_conv2d``) lands in the
     lowering's channels-last halo buffer, all groups are lowered with one
-    window copy, each group's GEMM writes its (dequantized) output into
-    its own column slice of one ``[M, Cout]`` float64 array, and bias and
-    the fused epilogue then run in place on that array.  ``k_order`` is
+    window copy, and each group's GEMM result is cast into its own column
+    slice of one ``[M, Cout]`` float64 array.  Dequantization, bias and
+    the fused epilogue then run in place on the ``(N, oh*ow*Cout)`` view
+    of that array, against constants the lowering tiled to that width:
+    a per-channel constant broadcast over channels-last memory would cut
+    numpy's inner loop down to ``Cout`` elements.  ``k_order`` is
     :data:`K_ORDER_CHANNELS_LAST` when the bound executors are K-order
     free (:meth:`_QuantGemmBinder.k_order_free`) -- the weight panels'
     K rows are then permuted to match at compile time -- and
@@ -764,8 +812,8 @@ class _ConvStep(_Step):
         self.out_channels, cpg, self.kh, self.kw = w.shape
         self.cpg = cpg
         self.fpg = self.out_channels // self.groups
-        bias = node.tensors.get("bias")
-        self._bias = bias.reshape(1, -1, 1, 1) if bias is not None else None
+        self._bias = node.tensors.get("bias")
+        self._out_scale = None
         self._lowerings: dict[tuple[int, ...], _ConvLowering] = {}
         self.k_order = K_ORDER_IM2ROW
 
@@ -808,6 +856,13 @@ class _ConvStep(_Step):
             dtype = self._act_dtype if self.quant else np.float64
             low = _ConvLowering(x_shape, self.kh, self.kw, self.stride,
                                 self.kpad, self.groups, dtype, self.k_order)
+            reps = low.out_h * low.out_w
+            low.out_scale = _tile(self._out_scale, reps)
+            low.bias = _tile(self._bias, reps)
+            low.epilogue = [
+                fn.tiled(reps) if isinstance(fn, _BnEpilogue) else fn
+                for fn in self.epilogue
+            ]
             self._lowerings[x_shape] = low
         return low
 
@@ -824,15 +879,17 @@ class _ConvStep(_Step):
         for g in range(self.groups):
             cols = slice(g * self.fpg, (g + 1) * self.fpg)
             if self.quant:
-                np.multiply(self.gemms[g](rows[g], result),
-                            self._out_scale[:, cols], out=y[:, cols],
-                            dtype=np.float64)
+                y[:, cols] = self.gemms[g](rows[g], result)
             else:
                 np.matmul(rows[g], self.panels[g], out=y[:, cols])
-        y = rows_to_nchw(y, x.shape[0], low.out_h, low.out_w)
-        if self._bias is not None:
-            np.add(y, self._bias, out=y)
-        return self._finish_in_place(y)
+        n = x.shape[0]
+        wide = y.reshape(n, low.out_h * low.out_w * self.out_channels)
+        if low.out_scale is not None:
+            np.multiply(wide, low.out_scale, out=wide)
+        if low.bias is not None:
+            np.add(wide, low.bias, out=wide)
+        self._finish_in_place(wide, low.epilogue)
+        return rows_to_nchw(y, n, low.out_h, low.out_w)
 
 
 class _QuantLinearStep(_Step):
@@ -855,10 +912,10 @@ class _QuantLinearStep(_Step):
     def __call__(self, arrays: list[np.ndarray],
                  result: InferenceResult) -> np.ndarray:
         acc = self.gemms[0](self._quant_act(arrays[0]), result)
-        y = acc.astype(np.float64) * self._out_scale
+        y = np.multiply(acc, self._out_scale, dtype=np.float64)
         if self._bias is not None:
-            y = y + self._bias
-        return self._finish(y)
+            np.add(y, self._bias, out=y)
+        return self._finish_in_place(y)
 
 
 # -- the plan -----------------------------------------------------------------
@@ -1364,6 +1421,11 @@ def export_plan(plan: GraphPlan) -> SharedPlan:
             view.flags.writeable = False
             setter(view)
             specs.append(spec)
+        # Cached lowerings hold tiled copies of the private originals;
+        # dropping them makes the next call re-tile from the segment.
+        for step in plan.steps:
+            if isinstance(step, _ConvStep):
+                step._lowerings.clear()
         handle = SharedPlanHandle(
             segment=shm.name, arrays=tuple(specs), total_bytes=total,
             graph_json=plan.graph.to_json(),

@@ -184,6 +184,21 @@ class TestSeededBugs:
         diags = verify_plan(plan, analysis=analysis)
         assert any("panel diverges" in d.message for d in diags)
 
+    def test_tampered_wide_bn_shift_caught(self, resnet_graph,
+                                           resnet_analysis):
+        """The per-call epilogue reads the lowering's tiled BN copy, not
+        the step's narrow one, so the verifier checks the copy too."""
+        plan = compile_graph(resnet_graph, backend="mixgemm", fuse=True)
+        plan.run(np.random.default_rng(7).standard_normal((2, 1, 12, 12)))
+        assert verify_plan(plan, analysis=resnet_analysis) == []
+        step = next(s for s in plan.steps if "batchnorm2d" in s.fused)
+        low = next(iter(step._lowerings.values()))
+        low.epilogue[step.fused.index("batchnorm2d")].shift[-1] += 1e-3
+        diags = verify_plan(plan, analysis=resnet_analysis)
+        assert [(d.rule, d.node) for d in diags] == \
+            [("RANGE-EQUIV", step.label)]
+        assert "tiled epilogue 0 BN shift" in diags[0].message
+
     def test_unknown_k_order_caught(self, resnet_graph, resnet_analysis):
         plan = compile_graph(resnet_graph, backend="mixgemm", fuse=True)
         step = next(s for s in plan.steps

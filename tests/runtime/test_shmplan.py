@@ -8,7 +8,10 @@ import pytest
 
 from repro.analysis.ranges import verify_plan
 from repro.core.packcache import PackingCache
+from repro.models.builders import build_tiny
+from repro.nn.layers import seed_init
 from repro.robustness.faults import demo_graph, demo_input
+from repro.runtime.export_modules import export_model
 from repro.runtime.graph import GraphModel
 from repro.runtime.plan import (
     PlanShareError,
@@ -62,6 +65,27 @@ class TestRoundTrip:
                 assert np.array_equal(got.output, want.output)
                 assert got.total_cycles == want.total_cycles
                 assert _run_stats(got) == _run_stats(want)
+
+    def test_plan_warmed_before_export(self):
+        """Lowerings cached before export hold tiled copies of the
+        private constants; export drops them so both sides re-tile."""
+        seed_init(13)
+        model = build_tiny("resnet18", act_bits=8, weight_bits=8)
+        model.eval()
+        resnet = export_model(model, name="resnet18")
+        x = np.random.default_rng(2).standard_normal((2, 1, 12, 12))
+        want = _compile(resnet).run(x)
+        plan = _compile(resnet)
+        plan.run(x)
+        with export_plan(plan) as shared:
+            assert not any(getattr(s, "_lowerings", None)
+                           for s in plan.steps)
+            with attach_plan(shared.handle) as attached:
+                for served in (plan, attached.plan):
+                    got = served.run(x)
+                    assert got.output.tobytes() == want.output.tobytes()
+                    assert _run_stats(got) == _run_stats(want)
+                assert verify_plan(plan) == []
 
     def test_accmem_wrap_config_round_trips(self, graph):
         """A wrapping accumulator config survives the shm round-trip."""
