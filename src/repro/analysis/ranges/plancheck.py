@@ -30,6 +30,12 @@ Per step it checks:
   ``np.tile`` of the step's narrow ``out_scale``, bias and folded-BN
   arrays (the copies its per-call epilogue actually reads), and its
   remaining epilogue entries are the step's own;
+* **kernel-row taps** -- a conv step that lowers through a kernel-row
+  panel (summing one GEMM per kernel row) must meet the rule that
+  makes the sum exact -- stride 1, one group, the channels-last K
+  order, and a fast kernel of one kc-block that no AccMem wraps --
+  and every cached lowering's per-tap B slices must equal that
+  block's row ranges;
 * **epilogue ranges** -- the step's *actual* fused epilogue closures
   (BN folds, activation fusions) are evaluated on the pre-epilogue
   interval endpoints and must land exactly on the source graph's
@@ -213,6 +219,54 @@ def _check_wide_constants(step, path: str) -> list[Diagnostic]:
     return diags
 
 
+def _check_kernel_rows(step, path: str) -> list[Diagnostic]:
+    """Each cached kernel-row lowering: the step meets the rule that
+    makes its per-tap GEMM sum exact, and its taps are the row ranges of
+    the kernel's one B block."""
+    diags: list[Diagnostic] = []
+    for shape, low in getattr(step, "_lowerings", {}).items():
+        if not low.kernel_rows:
+            continue
+        where = f"kernel-row lowering for input {shape}"
+        gemms = step.gemms
+        kernel = getattr(gemms[0], "kernel", None)
+        broken = []
+        if step.stride != 1:
+            broken.append(f"stride {step.stride}")
+        if len(gemms) != 1:
+            broken.append(f"{len(gemms)} groups")
+        if step.k_order != K_ORDER_CHANNELS_LAST:
+            broken.append(f"K order {step.k_order}")
+        if kernel is None or gemms[0].mode != "fast":
+            broken.append("no fast kernel")
+        elif len(kernel.blocks) != 1:
+            broken.append(f"{len(kernel.blocks)} kc-blocks")
+        elif kernel.wrap_bits is not None:
+            broken.append(f"a {kernel.wrap_bits}-bit AccMem wrap")
+        if broken:
+            diags.append(_diag(
+                step.label, path,
+                f"{where}: sums per-tap GEMMs under "
+                f"{', '.join(broken)}; the partial sums are not those of "
+                f"one exact kc-block",
+                hint="only stride-1 single-group convs on one unwrapped "
+                     "fast kc-block may lower through a kernel-row panel"))
+            continue
+        if low.taps is None:  # not called yet: nothing cut
+            continue
+        block = kernel.blocks[0][1]
+        rows = step.kw * step.cpg
+        if len(low.taps) != step.kh or not all(
+                np.array_equal(tap, block[i * rows:(i + 1) * rows])
+                for i, tap in enumerate(low.taps)):
+            diags.append(_diag(
+                step.label, path,
+                f"{where}: per-tap B slices diverge from the row ranges "
+                f"of the kernel's B block",
+                hint="the per-call GEMMs read the tap slices"))
+    return diags
+
+
 def _epilogue_image(step, base: TensorRange, spatial: bool
                     ) -> Optional[TensorRange]:
     """Interval image of the step's actual fused epilogue closures.
@@ -318,6 +372,7 @@ def verify_plan(plan, *,
             spatial = False
 
         diags.extend(_check_wide_constants(step, path))
+        diags.extend(_check_kernel_rows(step, path))
         image = _epilogue_image(step, base, spatial)
         if image is None:
             diags.append(_diag(

@@ -207,7 +207,10 @@ def im2row_duplication_factor(geo: ConvGeometry) -> float:
     across A" -- the factor is the A-matrix volume over the input volume.
     Modern implicit schemes (refs [22], [48], [72], [79]) remove it,
     which is why the paper "only focuses on the compute aspect of GEMM";
-    this helper quantifies what those schemes save.
+    this helper quantifies what those schemes save.  The compiled plan's
+    kernel-row lowering (``repro.runtime.plan._ConvLowering.panel``,
+    stride-1 single-group fast-path convs) is one such scheme: it copies
+    each padded input row ``KW`` times instead of ``KH*KW``.
     """
     a_elements = geo.gemm_m * geo.gemm_k * geo.groups
     input_elements = geo.batch * geo.in_channels * geo.in_h * geo.in_w

@@ -15,6 +15,14 @@ weights once per deployment and keeps the hot loop pure arithmetic;
 * conv lowering state (output geometry, a channels-last zero-halo
   buffer and its window view) is cached per input shape, replacing the
   per-call ``np.pad`` and im2row copy;
+* a stride-1, single-group quantized conv whose GEMM is one fast
+  kc-block that no AccMem wraps lowers through a *kernel-row panel*
+  (Cho & Brand's MEC): it copies one ``KW*C`` run per padded input row
+  and output column, ``KW`` copies of each input row instead of the
+  im2row matrix's ``KH*KW``, and sums ``KH`` GEMMs on shifted views of
+  the panel against row views of the kernel's one B block.  Every other
+  conv (strided, grouped, float, wrapping, multi-block, guarded, event
+  or numpy reference) keeps the im2row copy;
 * with it, each conv's per-channel constants (dequantization scale,
   bias, folded-BN ``scale``/``shift``) are tiled once to one sample's
   ``oh*ow*Cout`` channels-last width, so the epilogue runs on wide
@@ -262,6 +270,7 @@ class _RefGemm:
     config = None
     prepacked = False
     input_dtype = np.int64
+    block = None
 
     def __init__(self, b: np.ndarray) -> None:
         self._b = b
@@ -312,6 +321,21 @@ class _BoundGemm:
                                     pack_cache=pack_cache)
             self.prepacked = pack_cache.prewarm("B", b, config)
 
+    @property
+    def block(self) -> Optional[np.ndarray]:
+        """The fast kernel's B panel when it is a single kc-block that no
+        AccMem wraps, else ``None``.
+
+        Every product of such a GEMM, and every sum of some of them, is
+        bounded by the Eq. 5 bound that chose the block's dtype, so any
+        split of K into row ranges multiplies and sums to the same
+        exact C (:meth:`sum_taps`).
+        """
+        if (self.mode != "fast" or self.kernel.wrap_bits is not None
+                or len(self.kernel.blocks) != 1):
+            return None
+        return self.kernel.blocks[0][1]
+
     def __call__(self, a: np.ndarray, result: InferenceResult) -> np.ndarray:
         """``C`` for ``a`` already in the config's range; logs the stats.
 
@@ -328,14 +352,37 @@ class _BoundGemm:
             engine = self._executor.engine
             before = engine.now
             res = self._executor.gemm(a, self._b)
-            c, cycles = res.c, res.cycles - before
-        else:
-            cycles = self._cycles_by_m.get(m)
-            if cycles is None:
-                cycles = fastpath_timing(self.config, self._costs, m,
-                                         self.n, self.k).cycles
-                self._cycles_by_m[m] = cycles
-            c = self.kernel(a)
+            return self._logged(res.c, m, res.cycles - before, result)
+        return self._logged(self.kernel(a), m, self._fast_cycles(m), result)
+
+    def sum_taps(self, views: list[np.ndarray], taps: list[np.ndarray],
+                 act: np.ndarray, result: InferenceResult) -> np.ndarray:
+        """``C`` of the GEMM whose A rows are ``views`` side by side:
+        ``sum(views[i] @ taps[i])``, where ``taps`` split :attr:`block`
+        into row ranges.  ``act`` holds exactly A's values; the call is
+        observed and logged as the one ``(m, n, k)`` GEMM it replaces.
+        """
+        observe_range(self.label, "act", act)
+        c = np.matmul(views[0], taps[0])
+        if len(views) > 1:
+            part = np.empty_like(c)
+            for view, tap in zip(views[1:], taps[1:]):
+                np.matmul(view, tap, out=part)
+                c += part
+        c = c.reshape(-1, self.n)
+        m = c.shape[0]
+        return self._logged(c, m, self._fast_cycles(m), result)
+
+    def _fast_cycles(self, m: int) -> int:
+        cycles = self._cycles_by_m.get(m)
+        if cycles is None:
+            cycles = fastpath_timing(self.config, self._costs, m,
+                                     self.n, self.k).cycles
+            self._cycles_by_m[m] = cycles
+        return cycles
+
+    def _logged(self, c: np.ndarray, m: int, cycles: int,
+                result: InferenceResult) -> np.ndarray:
         observe_range(self.label, "acc", c)
         result.layer_stats.append(LayerStats(
             op=self.op, config=self.config.name, macs=m * self.n * self.k,
@@ -391,6 +438,7 @@ class _GuardedGemm:
     mode = "guarded"
     prepacked = False
     input_dtype = np.int64
+    block = None
 
     def __init__(self, b: np.ndarray, config: Optional[MixGemmConfig],
                  guards: _Guards, gemm_backend: str,
@@ -646,27 +694,41 @@ class _ConvLowering:
     ``_buf`` is ``(N, H+2p, W+2p, C)`` and holds every input channel.
     Its halo is zeroed once and never written; each call refreshes only
     the interior through :attr:`interior`, an NCHW-shaped view, so the
-    activation quantizer casts its codes straight into it.  :meth:`rows`
-    copies a fixed ``as_strided`` window view into a fresh ``(G, M, K)``
-    array: group ``g``'s A matrix is the contiguous ``rows()[g]``, equal
-    to ``im2row`` of that group's channels with its columns in
-    ``k_order`` -- ``im2row``'s own ``(C, KH, KW)``, or ``(KH, KW, C)``,
-    whose window copy moves contiguous channel runs.  Not thread-safe
-    (the buffer is shared across calls) -- one plan per worker.
+    activation quantizer casts its codes straight into it.  The lowering
+    then copies one fixed ``as_strided`` view of the buffer into a fresh
+    array, in one of two forms:
+
+    * :meth:`rows` (the default) gives a ``(G, M, K)`` array: group
+      ``g``'s A matrix is the contiguous ``rows()[g]``, equal to
+      ``im2row`` of that group's channels with its columns in
+      ``k_order`` -- ``im2row``'s own ``(C, KH, KW)``, or
+      ``(KH, KW, C)``, whose window copy moves contiguous channel runs.
+    * :meth:`panel` (``kernel_rows=True``: stride 1, one group,
+      ``(KH, KW, C)`` K order) gives the ``(N, (H+2p)*OW, KW*C)``
+      kernel-row panel of Cho & Brand's MEC lowering: row ``r*OW + j``
+      of a sample is the ``KW*C`` run of padded input row ``r`` that
+      starts at column ``j``.  Each padded row is copied ``KW`` times
+      instead of ``KH*KW``.  :meth:`tap_views` cuts tap ``kh``'s
+      ``KW*C`` columns of every im2row row out of it without copying.
+
+    Not thread-safe (the buffer is shared across calls) -- one plan per
+    worker.
 
     The owning step also keeps its per-channel constants here, tiled to
     the ``oh*ow*Cout`` width of one sample's channels-last output:
     ``out_scale`` (dequantization, ``None`` for a float conv), ``bias``
     and ``epilogue`` (the step's epilogue with every folded batchnorm
-    tiled).
+    tiled).  A kernel-row lowering's ``taps`` are the per-tap row views
+    of the step's one B block.
     """
 
     def __init__(self, x_shape: tuple[int, ...], kh: int, kw: int,
                  stride: int, padding: int, groups: int, dtype,
-                 k_order: str) -> None:
+                 k_order: str, kernel_rows: bool = False) -> None:
         n, c, h, w = x_shape
         p = padding
         cpg = c // groups
+        self.kh = kh
         self.out_h = (h + 2 * p - kh) // stride + 1
         self.out_w = (w + 2 * p - kw) // stride + 1
         self.m = n * self.out_h * self.out_w
@@ -674,28 +736,73 @@ class _ConvLowering:
         self.interior = self._buf[:, p:p + h, p:p + w, :].transpose(
             0, 3, 1, 2)
         sn, sh, sw, sc = self._buf.strides
-        lead = (groups, n, self.out_h, self.out_w)
-        lead_strides = (cpg * sc, sn, sh * stride, sw * stride)
-        if k_order == K_ORDER_CHANNELS_LAST:
-            tail, tail_strides = (kh, kw, cpg), (sh, sw, sc)
+        if kernel_rows:
+            shape = (n, h + 2 * p, self.out_w, kw, c)
+            strides = (sn, sh, sw, sw, sc)
+            self._copy_shape = (n, (h + 2 * p) * self.out_w, kw * c)
+            self._flat_taps = n == 1 or kh == 1
         else:
-            tail, tail_strides = (cpg, kh, kw), (sc, sh, sw)
+            lead = (groups, n, self.out_h, self.out_w)
+            lead_strides = (cpg * sc, sn, sh * stride, sw * stride)
+            if k_order == K_ORDER_CHANNELS_LAST:
+                tail, tail_strides = (kh, kw, cpg), (sh, sw, sc)
+            else:
+                tail, tail_strides = (cpg, kh, kw), (sc, sh, sw)
+            shape, strides = lead + tail, lead_strides + tail_strides
+            self._copy_shape = (groups, self.m, cpg * kh * kw)
         self._windows = np.lib.stride_tricks.as_strided(
-            self._buf, shape=lead + tail,
-            strides=lead_strides + tail_strides, writeable=False)
-        self._rows_shape = (groups, self.m, cpg * kh * kw)
+            self._buf, shape=shape, strides=strides, writeable=False)
+        self.kernel_rows = kernel_rows
         self.out_scale: Optional[np.ndarray] = None
         self.bias: Optional[np.ndarray] = None
         self.epilogue: list = []
+        self.taps: Optional[list[np.ndarray]] = None
+        self._tap_block: Optional[np.ndarray] = None
 
-    def rows(self) -> np.ndarray:
+    def _copy(self) -> np.ndarray:
         # Always a fresh C-contiguous copy: a plain reshape would return
         # a strided view of the buffer when the windows happen to tile
         # it (1x1 kernels), and float BLAS must see the layout it
         # always saw.
-        rows = np.empty(self._rows_shape, dtype=self._buf.dtype)
-        np.copyto(rows.reshape(self._windows.shape), self._windows)
-        return rows
+        out = np.empty(self._copy_shape, dtype=self._buf.dtype)
+        np.copyto(out.reshape(self._windows.shape), self._windows)
+        return out
+
+    def rows(self) -> np.ndarray:
+        """The ``(G, M, K)`` im2row matrices of an im2row lowering."""
+        return self._copy()
+
+    def panel(self) -> np.ndarray:
+        """The ``(N, (H+2p)*OW, KW*C)`` panel of a kernel-row lowering."""
+        return self._copy()
+
+    def tap_views(self, panel: np.ndarray) -> list[np.ndarray]:
+        """Tap ``kh``'s A rows, as ``(N, OH*OW, KW*C)`` views of
+        ``panel``: output pixel ``(i, j)`` reads padded row ``i + kh``,
+        so they start ``kh`` padded rows into each sample.  Where the
+        views are contiguous (one sample, or ``KH=1``, whose one tap
+        spans every panel row) they are ``(M, KW*C)`` row ranges
+        instead, for a 2-D GEMM.
+        """
+        ow = self.out_w
+        if self._flat_taps:
+            panel = panel.reshape(-1, panel.shape[-1])
+            return [panel[i * ow:i * ow + self.m] for i in range(self.kh)]
+        length = self.out_h * ow
+        return [panel[:, i * ow:i * ow + length] for i in range(self.kh)]
+
+    def taps_of(self, block: np.ndarray) -> list[np.ndarray]:
+        """``block``'s ``KH`` row ranges of ``KW*C`` rows, tap ``kh``'s
+        B operand, as views.  Cut once and kept in :attr:`taps` until
+        the GEMM holds another block (a plan export rebinds it), so the
+        kernel's ``blocks`` stay the only place the weights live.
+        """
+        if self._tap_block is not block:
+            rows = block.shape[0] // self.kh
+            self.taps = [block[i * rows:(i + 1) * rows]
+                         for i in range(self.kh)]
+            self._tap_block = block
+        return self.taps
 
 
 class _QuantGemmBinder:
@@ -793,6 +900,18 @@ class _ConvStep(_Step):
     K rows are then permuted to match at compile time -- and
     :data:`K_ORDER_IM2ROW` otherwise, including every float conv, whose
     BLAS summation order must not change.
+
+    ``kernel_rows`` is decided once, from static facts: stride 1, one
+    group, the channels-last K order and a bound GEMM whose
+    :attr:`_BoundGemm.block` is set.  Such a step copies the lowering's
+    kernel-row panel instead of its im2row rows and sums one GEMM per
+    kernel row (:meth:`_BoundGemm.sum_taps`).  That stays exact for the
+    reason the fast kernel is: every tap product and every running sum
+    is a partial sum of the block's products, bounded by the Eq. 5
+    bound that chose the block's dtype.  Cycles, stats and the act/acc
+    range taps are those of the one GEMM it replaces; at stride 1 every
+    halo-buffer element lies in some window, so the panel and the rows
+    have the same extrema.
     """
 
     can_fold_bn = True
@@ -816,6 +935,7 @@ class _ConvStep(_Step):
         self._out_scale = None
         self._lowerings: dict[tuple[int, ...], _ConvLowering] = {}
         self.k_order = K_ORDER_IM2ROW
+        self.kernel_rows = False
 
         if self.quant:
             self.act_qp, wgt_qp = _quant_params(node)
@@ -835,6 +955,9 @@ class _ConvStep(_Step):
             self.gemms = binder.bind(node, label, panels)
             # Groups share config and K, hence one input dtype.
             self._act_dtype = self.gemms[0].input_dtype
+            self.kernel_rows = (self.stride == 1 and self.groups == 1
+                                and self.k_order == K_ORDER_CHANNELS_LAST
+                                and self.gemms[0].block is not None)
             self._quant_act = _ActQuantizer(self.act_qp, self._act_dtype)
         else:
             # Keep the exact view (reshape + transpose of the original
@@ -855,7 +978,8 @@ class _ConvStep(_Step):
                     f"groups {self.groups}")
             dtype = self._act_dtype if self.quant else np.float64
             low = _ConvLowering(x_shape, self.kh, self.kw, self.stride,
-                                self.kpad, self.groups, dtype, self.k_order)
+                                self.kpad, self.groups, dtype, self.k_order,
+                                self.kernel_rows)
             reps = low.out_h * low.out_w
             low.out_scale = _tile(self._out_scale, reps)
             low.bias = _tile(self._bias, reps)
@@ -874,14 +998,22 @@ class _ConvStep(_Step):
             self._quant_act.into(x, low.interior)
         else:
             low.interior[...] = x
-        rows = low.rows()
-        y = np.empty((low.m, self.out_channels))
-        for g in range(self.groups):
-            cols = slice(g * self.fpg, (g + 1) * self.fpg)
-            if self.quant:
-                y[:, cols] = self.gemms[g](rows[g], result)
-            else:
-                np.matmul(rows[g], self.panels[g], out=y[:, cols])
+        if low.kernel_rows:
+            gemm = self.gemms[0]
+            panel = low.panel()
+            acc = gemm.sum_taps(low.tap_views(panel),
+                                low.taps_of(gemm.block), panel, result)
+            del panel  # freed before the float64 output is allocated
+            y = acc.astype(np.float64)
+        else:
+            y = np.empty((low.m, self.out_channels))
+            rows = low.rows()
+            for g in range(self.groups):
+                cols = slice(g * self.fpg, (g + 1) * self.fpg)
+                if self.quant:
+                    y[:, cols] = self.gemms[g](rows[g], result)
+                else:
+                    np.matmul(rows[g], self.panels[g], out=y[:, cols])
         n = x.shape[0]
         wide = y.reshape(n, low.out_h * low.out_w * self.out_channels)
         if low.out_scale is not None:

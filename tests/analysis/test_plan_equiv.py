@@ -199,6 +199,44 @@ class TestSeededBugs:
             [("RANGE-EQUIV", step.label)]
         assert "tiled epilogue 0 BN shift" in diags[0].message
 
+    def test_tampered_tap_slice_caught(self, resnet_graph, resnet_analysis):
+        """A kernel-row step multiplies its lowering's per-tap B slices,
+        so a slice that left the kernel block's row range is reported."""
+        plan = compile_graph(resnet_graph, backend="mixgemm", fuse=True)
+        plan.run(np.random.default_rng(7).standard_normal((2, 1, 12, 12)))
+        assert verify_plan(plan, analysis=resnet_analysis) == []
+        step = next(s for s in plan.steps
+                    if getattr(s, "kernel_rows", False) and s.cpg > 1)
+        low = next(iter(step._lowerings.values()))
+        low.taps[1] = low.taps[1].copy()
+        low.taps[1][0, 0] += 1
+        diags = verify_plan(plan, analysis=resnet_analysis)
+        assert [(d.rule, d.node) for d in diags] == \
+            [("RANGE-EQUIV", step.label)]
+        assert "per-tap B slices diverge" in diags[0].message
+
+    def test_tap_lowering_on_wrapping_gemm_caught(self, resnet_graph):
+        """At a 16-bit AccMem every kernel wraps, so the compiler keeps
+        rows(); a kernel-row lowering forced onto one is reported."""
+        analysis = analyze_graph(resnet_graph, accmem_bits=16,
+                                 input_range=(-4.0, 4.0))
+        plan = compile_graph(resnet_graph, backend="mixgemm",
+                             accmem_bits=16)
+        plan.run(np.random.default_rng(7).standard_normal((2, 1, 12, 12)))
+        assert not any(getattr(s, "kernel_rows", False) for s in plan.steps)
+        assert verify_plan(plan, analysis=analysis) == []
+        step = next(s for s in plan.steps
+                    if getattr(s, "stride", 0) == 1 and s.quant)
+        low = next(iter(step._lowerings.values()))
+        block = step.gemms[0].kernel.blocks[0][1]
+        rows = step.kw * step.cpg
+        low.kernel_rows = True
+        low.taps = [block[i * rows:(i + 1) * rows] for i in range(step.kh)]
+        diags = verify_plan(plan, analysis=analysis)
+        assert [(d.rule, d.node) for d in diags] == \
+            [("RANGE-EQUIV", step.label)]
+        assert "16-bit AccMem wrap" in diags[0].message
+
     def test_unknown_k_order_caught(self, resnet_graph, resnet_analysis):
         plan = compile_graph(resnet_graph, backend="mixgemm", fuse=True)
         step = next(s for s in plan.steps

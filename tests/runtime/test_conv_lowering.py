@@ -75,3 +75,29 @@ def test_halo_stays_zero():
     interior[:, p:p + 4, p:p + 5, :] = True
     assert not buf[~interior].any()
     assert (buf[interior] == 1).all()
+
+
+@pytest.mark.parametrize("n", [1, 3])
+@pytest.mark.parametrize("kernel", [1, 3, 5, 7])
+@pytest.mark.parametrize("padding", [0, 1, 2])
+def test_kernel_row_taps_are_im2row_column_ranges(kernel, padding, n):
+    """Tap ``kh``'s view of the panel is columns ``kh*KW*C`` to
+    ``(kh+1)*KW*C`` of the channels-last im2row rows, sample by sample,
+    and the panel holds exactly the halo buffer's values."""
+    rng = np.random.default_rng(kernel * 10 + padding + n)
+    x = rng.integers(-100, 100, size=(n, _C, _H, _W)).astype(np.float32)
+    low = _ConvLowering(x.shape, kernel, kernel, 1, padding, 1, np.float32,
+                        K_ORDER_CHANNELS_LAST, kernel_rows=True)
+    low.interior[...] = x
+    panel = low.panel()
+    assert panel.shape == (n, (_H + 2 * padding) * low.out_w, kernel * _C)
+    assert np.array_equal(np.unique(panel), np.unique(low._buf))
+    want = _expected(x, kernel, 1, padding, 1, K_ORDER_CHANNELS_LAST)[0]
+    width = kernel * _C
+    views = low.tap_views(panel)
+    assert len(views) == kernel
+    for kh, view in enumerate(views):
+        if view.ndim == 3:
+            assert all(view[i].flags.c_contiguous for i in range(n))
+        got = view.reshape(low.m, width)
+        assert np.array_equal(got, want[:, kh * width:(kh + 1) * width])

@@ -169,6 +169,41 @@ class TestZeroCopyDiscipline:
                         assert start <= addr
                         assert addr + arr.nbytes <= end
 
+    def test_kernel_row_taps_rebuild_from_segment(self):
+        """A plan warmed before export cut its kernel-row tap slices
+        from private blocks; after export (and in an attached plan) the
+        next call cuts them from the segment, adds no private constant
+        bytes and serves the warm plan's bytes."""
+        seed_init(13)
+        model = build_tiny("resnet18", act_bits=8, weight_bits=8)
+        model.eval()
+        resnet = export_model(model, name="resnet18")
+        x = np.random.default_rng(4).standard_normal((3, 1, 12, 12))
+        plan = _compile(resnet)
+        want = plan.run(x)
+        assert any(getattr(s, "kernel_rows", False) for s in plan.steps)
+        with export_plan(plan) as shared:
+            with attach_plan(shared.handle) as attached:
+                for served, buf in ((plan, shared.buf),
+                                    (attached.plan, attached.buf)):
+                    before = plan_share_stats(served, buf)
+                    got = served.run(x)
+                    assert got.output.tobytes() == want.output.tobytes()
+                    assert _run_stats(got) == _run_stats(want)
+                    assert plan_share_stats(served, buf) == before
+                    assert before["plan_bytes_private"] == 0
+                    start, end = _segment_span(buf)
+                    taps = [tap for step in served.steps
+                            for low in getattr(step, "_lowerings",
+                                               {}).values()
+                            if low.kernel_rows for tap in low.taps]
+                    assert taps
+                    for tap in taps:
+                        addr = int(tap.__array_interface__["data"][0])
+                        assert start <= addr
+                        assert addr + tap.nbytes <= end
+                    assert verify_plan(served) == []
+
     def test_exporter_rebinds_onto_segment(self, graph):
         plan = _compile(graph)
         with export_plan(plan) as shared:
