@@ -62,12 +62,6 @@ class ConcurrencyAnalysis:
     unguarded_sites: set[tuple[str, str]] = field(default_factory=set)
     lock_graph: LockOrderGraph = field(default_factory=LockOrderGraph)
 
-    def class_named(self, name: str) -> ClassModel | None:
-        for cls in self.classes:
-            if cls.name == name:
-                return cls
-        return None
-
 
 def _suppressed(diag: Diagnostic,
                 sources: dict[str, list[str]]) -> bool:

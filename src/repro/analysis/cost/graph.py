@@ -80,9 +80,6 @@ class PlanCost:
     def total_macs_issued(self) -> int:
         return sum(layer.macs_issued for layer in self.layers)
 
-    def by_label(self) -> dict[str, LayerCost]:
-        return {layer.label: layer for layer in self.layers}
-
     def as_dict(self) -> dict:
         return {
             "assumed_m": self.assumed_m,

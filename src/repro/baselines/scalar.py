@@ -30,7 +30,7 @@ from repro.sim.params import (
     ScalarCosts,
     SocParams,
 )
-from repro.sim.perf import PerfResult, TrafficBreakdown, combine
+from repro.sim.perf import PerfResult, combine
 
 
 @dataclass(frozen=True)

@@ -429,9 +429,3 @@ class BinSegSpec:
             f"{self.macs_per_cycle} MAC/cycle, "
             f"slice=[{self.slice_msb}:{self.slice_lsb}]"
         )
-
-
-def reference_inner_product(a: Sequence[int], b: Sequence[int]) -> int:
-    """Ground-truth integer inner product (for verification only)."""
-    return int(np.dot(np.asarray(a, dtype=np.int64),
-                      np.asarray(b, dtype=np.int64)))

@@ -26,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from .binseg import BinSegError, ceil_div, value_range
-from .config import MixGemmConfig, UVectorLayout
+from .config import MixGemmConfig
 
 
 def pack_word(values: Sequence[int], bw: int, word_bits: int = 64) -> int:
@@ -283,16 +283,6 @@ class MicroPanel:
         return self.runs[0].n_groups
 
 
-@dataclass(frozen=True)
-class Panel:
-    """A cache-resident panel: a block of k-runs over one kc-slice of k."""
-
-    micro_panels: tuple[MicroPanel, ...]
-    run_offset: int
-    k_offset: int
-    kc: int
-
-
 def _slice_kvector(kv: KVector, k_lo: int, k_hi: int) -> KVector:
     """Restrict a packed k-run to logical elements [k_lo, k_hi).
 
@@ -340,16 +330,3 @@ def create_micro_panel(
                 template = _slice_kvector(packed.kvectors[0], k_lo, k_hi)
             runs.append(_zero_kvector(template))
     return MicroPanel(runs=tuple(runs), valid_runs=valid, k_offset=k_lo)
-
-
-def create_panel(
-    packed: PackedMatrix, run_lo: int, run_hi: int, r: int,
-    k_lo: int, k_hi: int
-) -> Panel:
-    """Cut a cache panel (CreateAPanel / CreateBPanel in Algorithm 1)."""
-    micro = tuple(
-        create_micro_panel(packed, lo, r, k_lo, k_hi)
-        for lo in range(run_lo, run_hi, r)
-    )
-    return Panel(micro_panels=micro, run_offset=run_lo,
-                 k_offset=k_lo, kc=k_hi - k_lo)

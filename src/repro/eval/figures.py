@@ -16,10 +16,10 @@ from repro.baselines.scalar import (
     openblas_fp32_u740_kernel,
 )
 from repro.core.config import MixGemmConfig
-from repro.models.inventory import DISPLAY_NAMES, get_network
+from repro.models.inventory import get_network
 from repro.sim.perf import MixGemmPerfModel
 
-from .accuracy import CONFIG_LADDER, FP32_TOP1, top1_accuracy
+from .accuracy import CONFIG_LADDER, top1_accuracy
 from .pareto import ParetoPoint, pareto_frontier
 from .workloads import (
     FIGURE6_CONFIG_PAIRS,
@@ -151,11 +151,3 @@ def figure7_speedup_ranges(
         values = [p.speedup_vs_fp32 for p in points if p.network == name]
         out[name] = (min(values), max(values))
     return out
-
-
-def figure7_display_name(network: str) -> str:
-    return DISPLAY_NAMES[network]
-
-
-def fp32_reference(network: str) -> float:
-    return FP32_TOP1[network]

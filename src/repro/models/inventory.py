@@ -16,7 +16,6 @@ GMAC, EfficientNet-B0 ~0.4 GMAC).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
@@ -74,11 +73,6 @@ class LayerSpec:
     def weight_elements(self) -> int:
         return (self.out_channels * (self.in_channels // self.groups)
                 * self.kernel * self.kernel)
-
-    @property
-    def activation_elements(self) -> int:
-        """Input activation volume (for bandwidth/footprint estimates)."""
-        return self.in_channels * self.in_size * self.in_size
 
 
 @dataclass

@@ -19,7 +19,7 @@ Design notes
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -365,11 +365,3 @@ def softmax_cross_entropy(logits: Tensor,
 def accuracy(probs: np.ndarray, labels: np.ndarray) -> float:
     """TOP-1 accuracy of a probability batch."""
     return float((probs.argmax(axis=1) == labels).mean())
-
-
-def parameters_norm(params: Iterable[Tensor]) -> float:
-    """L2 norm over a parameter collection (training diagnostics)."""
-    total = 0.0
-    for p in params:
-        total += float((p.data ** 2).sum())
-    return float(np.sqrt(total))

@@ -165,22 +165,3 @@ def qparams_from_range(
         zero_point = np.round(qmin - lo / scale)
     return QuantParams(scale=scale, zero_point=zero_point, bits=bits,
                        signed=signed, axis=axis)
-
-
-def requantize_scale(
-    act_qp: QuantParams, wgt_qp: QuantParams
-) -> np.ndarray:
-    """Combined output scale ``s_x * s_w`` of an integer GEMM/conv.
-
-    After accumulating ``sum((x_q - z_x)(w_q - z_w))`` in wide integers,
-    multiplying by this scale recovers the real-valued result -- this is
-    the requantization step at the boundary between the Mix-GEMM integer
-    pipeline and the floating-point scales the paper keeps.
-    """
-    sw = wgt_qp.scale
-    sx = act_qp.scale
-    if act_qp.is_per_channel:
-        raise QuantError(
-            "activations must be per-tensor to fold scales into channels"
-        )
-    return sx.reshape(()) * sw

@@ -34,7 +34,7 @@ from .bias_correction import (
     bias_correction_linear,
     weight_quantization_error,
 )
-from .observers import PAPER_CALIBRATION_BATCHES, PercentileObserver
+from .observers import PAPER_CALIBRATION_BATCHES
 from .qat import calibrate_activations, evaluate, quant_layers
 
 

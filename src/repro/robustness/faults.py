@@ -328,10 +328,6 @@ class CampaignReport:
     def n_silent(self) -> int:
         return sum(t.silent for t in self.trials)
 
-    @property
-    def n_corrupted(self) -> int:
-        return sum(t.injected and t.corrupted for t in self.trials)
-
     def _rate(self, count: int) -> float:
         return count / self.n_injected if self.n_injected else 0.0
 

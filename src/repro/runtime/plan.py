@@ -101,7 +101,7 @@ from __future__ import annotations
 
 import warnings
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from multiprocessing import shared_memory
 from typing import Callable, Iterator, Optional
 
@@ -1075,18 +1075,7 @@ class PlanInfo:
     guard_level: str = "off"
 
     def as_dict(self) -> dict:
-        return {
-            "nodes": self.nodes, "steps": self.steps,
-            "folded_batchnorms": self.folded_batchnorms,
-            "fused_activations": self.fused_activations,
-            "bound_executors": self.bound_executors,
-            "prepacked_panels": self.prepacked_panels,
-            "backend": self.backend, "gemm_backend": self.gemm_backend,
-            "accmem_bits": self.accmem_bits,
-            "fusions": list(self.fusions),
-            "fuse": self.fuse,
-            "guard_level": self.guard_level,
-        }
+        return asdict(self)
 
 
 def _observe_out(label: str, out: np.ndarray) -> None:

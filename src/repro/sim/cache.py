@@ -41,10 +41,6 @@ class CacheStats:
     def hit_rate(self) -> float:
         return self.hits / self.accesses if self.accesses else 0.0
 
-    @property
-    def miss_rate(self) -> float:
-        return 1.0 - self.hit_rate if self.accesses else 0.0
-
 
 class Cache:
     """One write-back, write-allocate, LRU set-associative cache level."""

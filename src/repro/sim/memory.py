@@ -106,8 +106,3 @@ def gemm_traffic(
         l2 = a_total * a_passes_l1 + b_total * b_passes_l1
     l2 += c_l2
     return TrafficBreakdown(l2_bytes=l2, dram_bytes=dram)
-
-
-def weights_footprint_bytes(n_weights: int, bits: int) -> float:
-    """Model-weights footprint at a given bitwidth (memory-saving claims)."""
-    return n_weights * bits / 8.0

@@ -12,7 +12,6 @@ from repro.core.config import (
 )
 from repro.core.packing import (
     create_micro_panel,
-    create_panel,
     pack_kvector,
     pack_matrix_a,
     pack_matrix_b,
@@ -159,13 +158,17 @@ class TestPanels:
         with pytest.raises(BinSegError):
             create_micro_panel(packed, 0, 4, 5, 37)
 
-    def test_create_panel_covers_runs(self):
+    def test_micro_panel_last_of_ten_runs(self):
+        # Ten runs cut four at a time: the third u-panel holds runs 8-9
+        # and pads two zero runs past the matrix edge.
         cfg = MixGemmConfig(bw_a=8, bw_b=8)
-        a = np.zeros((10, 32), dtype=np.int64)
+        a = np.arange(10 * 32, dtype=np.int64).reshape(10, 32) % 100 - 50
         packed = pack_matrix_a(a, cfg)
-        panel = create_panel(packed, 0, 10, 4, 0, 32)
-        assert len(panel.micro_panels) == 3  # ceil(10 / 4)
-        assert panel.micro_panels[-1].valid_runs == 2
+        up = create_micro_panel(packed, 8, 4, 0, 32)
+        assert up.valid_runs == 2
+        assert up.runs[1].unpack() == list(a[9])
+        assert up.runs[2].unpack() == [0] * 32
+        assert up.runs[3].unpack() == [0] * 32
 
 
 class TestAlignedKc:

@@ -11,7 +11,6 @@ from repro.quant.affine import (
     qparams_from_range,
     quantization_error,
     quantize,
-    requantize_scale,
 )
 
 
@@ -132,19 +131,3 @@ class TestErrorMetrics:
         qp = QuantParams(scale=0.5, zero_point=0.0, bits=4, signed=True)
         x = np.array([-1.0, 0.0, 0.5, 3.0])
         assert quantization_error(x, qp) == pytest.approx(0.0)
-
-
-class TestRequantizeScale:
-    def test_scalar_times_per_channel(self):
-        act = QuantParams(scale=0.1, zero_point=0.0, bits=8, signed=False)
-        wgt = QuantParams(scale=[0.2, 0.4], zero_point=0.0, bits=4,
-                          signed=True, axis=0)
-        s = requantize_scale(act, wgt)
-        assert np.allclose(s, [0.02, 0.04])
-
-    def test_per_channel_activations_rejected(self):
-        act = QuantParams(scale=[0.1, 0.2], zero_point=0.0, bits=8,
-                          signed=False, axis=0)
-        wgt = QuantParams(scale=0.2, zero_point=0.0, bits=4, signed=True)
-        with pytest.raises(QuantError):
-            requantize_scale(act, wgt)
