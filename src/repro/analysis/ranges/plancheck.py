@@ -36,6 +36,13 @@ Per step it checks:
   order, and a fast kernel of one kc-block that no AccMem wraps --
   and every cached lowering's per-tap B slices must equal that
   block's row ranges;
+* **direct lowerings** -- a conv step that uses its buffer as the A
+  matrix itself (no window copy) must have a 1x1 kernel, padding 0 and
+  one group, the only convs whose im2row rows are the strided input
+  pixels;
+* **batchnorm tiles** -- every row-wide copy an unfused
+  ``batchnorm2d`` step cached holds ``np.tile`` of its narrow
+  ``scale``/``shift`` over one image row;
 * **epilogue ranges** -- the step's *actual* fused epilogue closures
   (BN folds, activation fusions) are evaluated on the pre-epilogue
   interval endpoints and must land exactly on the source graph's
@@ -267,6 +274,47 @@ def _check_kernel_rows(step, path: str) -> list[Diagnostic]:
     return diags
 
 
+def _check_direct(step, path: str) -> list[Diagnostic]:
+    """A conv step whose A matrix is its input buffer meets the rule
+    that makes that buffer the im2row matrix."""
+    lows = getattr(step, "_lowerings", {})
+    if not (getattr(step, "direct", False)
+            or any(low.direct for low in lows.values())):
+        return []
+    broken = []
+    if (step.kh, step.kw) != (1, 1):
+        broken.append(f"a {step.kh}x{step.kw} kernel")
+    if step.kpad != 0:
+        broken.append(f"padding {step.kpad}")
+    if step.groups != 1:
+        broken.append(f"{step.groups} groups")
+    if not broken:
+        return []
+    return [_diag(
+        step.label, path,
+        f"direct lowering under {', '.join(broken)}; its buffer is not "
+        f"the im2row matrix",
+        hint="only 1x1, unpadded, single-group convs may use their "
+             "input buffer as the A matrix")]
+
+
+def _check_bn_tiles(step, path: str) -> list[Diagnostic]:
+    """Each row-wide batchnorm copy an unfused step cached vs
+    ``np.tile`` of its narrow ``scale``/``shift`` over one image row."""
+    diags: list[Diagnostic] = []
+    for shape, wide in getattr(step, "_tiles", {}).items():
+        for what in ("scale", "shift"):
+            # One image row: ``W`` copies of the per-channel constant.
+            want = np.tile(np.ravel(getattr(step._fn, what)), shape[3])
+            if not np.array_equal(getattr(wide, what), want):
+                diags.append(_diag(
+                    step.label, path,
+                    f"batchnorm tiles for input {shape}: tiled {what} "
+                    f"diverges from the step's per-channel {what}",
+                    hint="the per-call batchnorm reads the tiled copy"))
+    return diags
+
+
 def _epilogue_image(step, base: TensorRange, spatial: bool
                     ) -> Optional[TensorRange]:
     """Interval image of the step's actual fused epilogue closures.
@@ -373,6 +421,8 @@ def verify_plan(plan, *,
 
         diags.extend(_check_wide_constants(step, path))
         diags.extend(_check_kernel_rows(step, path))
+        diags.extend(_check_direct(step, path))
+        diags.extend(_check_bn_tiles(step, path))
         image = _epilogue_image(step, base, spatial)
         if image is None:
             diags.append(_diag(

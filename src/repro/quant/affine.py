@@ -83,10 +83,6 @@ class QuantParams:
     def is_symmetric(self) -> bool:
         return bool(np.all(self.zero_point == 0))
 
-    @property
-    def is_per_channel(self) -> bool:
-        return self.axis is not None
-
     def _expand(self, values: np.ndarray, ndim: int) -> np.ndarray:
         """Reshape per-channel vectors for broadcasting against data."""
         if self.axis is None:

@@ -20,14 +20,25 @@ weights once per deployment and keeps the hot loop pure arithmetic;
   (Cho & Brand's MEC): it copies one ``KW*C`` run per padded input row
   and output column, ``KW`` copies of each input row instead of the
   im2row matrix's ``KH*KW``, and sums ``KH`` GEMMs on shifted views of
-  the panel against row views of the kernel's one B block.  Every other
-  conv (strided, grouped, float, wrapping, multi-block, guarded, event
-  or numpy reference) keeps the im2row copy;
+  the panel against row views of the kernel's one B block;
+* a conv with a 1x1 kernel, padding 0 and one group lowers *directly*,
+  on every backend: its buffer is the ``(N, OH, OW, C)`` A matrix
+  itself, the quantizer (or a float conv's copy) writes only the
+  strided read grid ``x[:, :, ::s, ::s]`` into it, and the GEMM reads
+  it without a lowering copy.  Every other conv (strided, grouped,
+  float, wrapping, multi-block, guarded, event or numpy reference)
+  keeps the im2row copy;
+* activation quantize is divide -> ``rint`` -> clip, the last two in
+  place, then the cast: every plan quantizer has zero-point 0, so the
+  zero-point add is gone (:class:`_ActQuantizer` says why the codes do
+  not change);
 * with it, each conv's per-channel constants (dequantization scale,
   bias, folded-BN ``scale``/``shift``) are tiled once to one sample's
   ``oh*ow*Cout`` channels-last width, so the epilogue runs on wide
   ``(N, oh*ow*Cout)`` rows instead of broadcasting over ``Cout``-long
-  inner loops;
+  inner loops.  A ``batchnorm2d`` left unfused (every one in an
+  unfused plan) does the same on a channels-last input, one image row
+  wide;
 * every step that produces a fresh output array (all but ``identity``
   and ``flatten``, which may return their input) finishes it in place:
   no epilogue entry allocates;
@@ -228,31 +239,40 @@ def _mark_recovered(result: InferenceResult, label: str) -> None:
 
 
 class _ActQuantizer:
-    """Per-tensor activation quantizer with the constants pre-resolved.
+    """Per-tensor, zero-point-0 activation quantizer with the constants
+    pre-resolved.
 
-    Evaluates the same numpy sequence as
-    :func:`repro.quant.affine.quantize` -- divide, add zero-point,
-    round, clip, cast -- with the broadcasting/`value_range` bookkeeping
-    hoisted to construction and every stage after the divide running in
-    place, so the result is bitwise identical.  The cast goes to the
+    Runs divide -> ``np.rint`` -> clip, the last two in place on the
+    quotient, then casts: the integer codes of
+    :func:`repro.quant.affine.quantize`'s divide -> add zero-point ->
+    round -> clip -> cast in three passes over the data.  Every plan
+    quantizer has zero-point 0.0 (:func:`_quant_params`; the
+    constructor rejects any other), and adding +0.0 changes a float
+    only when it is an exact -0.0 quotient, which becomes +0.0.  Both
+    are the code 0: the int64 cast maps them to the same integer, and
+    a float-container GEMM sums its products from +0, so a -0.0 operand
+    cannot reach its result -- rounding a small negative quotient has
+    always produced -0.0 codes on this path.  The cast goes to the
     consuming GEMM's ``input_dtype``: the clipped codes are small
     integers, so the float32 cast of the fast path is exactly as
     lossless as int64.  :meth:`into` casts on assignment into a
-    caller's buffer (a conv lowering's halo interior) instead.
+    caller's buffer (a conv lowering's interior) instead.
     """
 
     def __init__(self, qp: QuantParams, dtype: type) -> None:
+        if np.any(qp.zero_point != 0.0):
+            raise ValueError(
+                f"plan activation quantizers have zero-point 0, got "
+                f"{qp.zero_point}")
         self.qp = qp
         self.dtype = dtype
         self._scale = qp._expand(qp.scale, 1)
-        self._zp = qp._expand(qp.zero_point, 1)
         self._qmin = qp.qmin
         self._qmax = qp.qmax
 
     def _codes(self, x: np.ndarray) -> np.ndarray:
         q = x / self._scale
-        np.add(q, self._zp, out=q)
-        np.round(q, out=q)
+        np.rint(q, out=q)
         return np.clip(q, self._qmin, self._qmax, out=q)
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
@@ -688,6 +708,42 @@ class _GenericStep(_Step):
 _VIEW_OPS = frozenset({"identity", "flatten"})
 
 
+class _BatchNormStep(_GenericStep):
+    """A ``batchnorm2d`` the plan did not fold into a conv.
+
+    An input that is channels-last in memory -- every conv output is --
+    runs on its ``(N*H, W*C)`` view, one image row per row, against
+    ``scale``/``shift`` tiled to ``W*C``: the wide-row treatment fused
+    conv epilogues get (see :class:`_ConvStep`), with the same multiply
+    and add per element.  One image row already gives numpy's inner
+    loop ``W*C`` elements instead of ``C``, and its tiles cost ``H``
+    times less memory than a whole sample's would, with every unfused
+    batchnorm keeping its own.  The tiles are built once per input
+    shape and kept in ``_tiles``.  Any other input keeps the
+    ``(1, C, 1, 1)`` broadcast.  The output is channels-last either
+    way: the broadcast's fresh array follows its input's memory order.
+    """
+
+    def __init__(self, node: NodeSpec, label: str,
+                 input_ids: list[str]) -> None:
+        super().__init__(node, label, input_ids)
+        self._tiles: dict[tuple[int, ...], _BnEpilogue] = {}
+
+    def __call__(self, arrays: list[np.ndarray],
+                 result: InferenceResult) -> np.ndarray:
+        x = arrays[0]
+        if x.ndim != 4 or not x.transpose(0, 2, 3, 1).flags.c_contiguous:
+            return super().__call__(arrays, result)
+        nhwc = x.transpose(0, 2, 3, 1)
+        bn = self._tiles.get(x.shape)
+        if bn is None:
+            bn = self._tiles[x.shape] = self._fn.tiled(x.shape[3])
+        rows = x.shape[0] * x.shape[2]
+        out = np.empty(nhwc.shape)
+        bn(nhwc.reshape(rows, -1), out=out.reshape(rows, -1))
+        return self._finish_in_place(out.transpose(0, 3, 1, 2))
+
+
 class _ConvLowering:
     """Per-input-shape conv lowering: a channels-last zero-halo buffer.
 
@@ -711,6 +767,15 @@ class _ConvLowering:
       instead of ``KH*KW``.  :meth:`tap_views` cuts tap ``kh``'s
       ``KW*C`` columns of every im2row row out of it without copying.
 
+    A *direct* lowering (``direct=True``: a 1x1 kernel, padding 0, one
+    group) copies nothing.  Its buffer is ``(N, OH, OW, C)``, the A
+    matrix itself: output pixel ``(i, j)`` reads exactly input pixel
+    ``(i*s, j*s)``, and with one kernel tap both K orders are the
+    channel order.  :attr:`interior` is then the NCHW view of the whole
+    buffer, which the caller fills with the strided read grid
+    ``x[:, :, ::s, ::s]``, and :meth:`rows` returns the buffer as a
+    ``(1, M, C)`` view.
+
     Not thread-safe (the buffer is shared across calls) -- one plan per
     worker.
 
@@ -724,7 +789,8 @@ class _ConvLowering:
 
     def __init__(self, x_shape: tuple[int, ...], kh: int, kw: int,
                  stride: int, padding: int, groups: int, dtype,
-                 k_order: str, kernel_rows: bool = False) -> None:
+                 k_order: str, kernel_rows: bool = False,
+                 direct: bool = False) -> None:
         n, c, h, w = x_shape
         p = padding
         cpg = c // groups
@@ -732,6 +798,18 @@ class _ConvLowering:
         self.out_h = (h + 2 * p - kh) // stride + 1
         self.out_w = (w + 2 * p - kw) // stride + 1
         self.m = n * self.out_h * self.out_w
+        self.kernel_rows = kernel_rows
+        self.direct = direct
+        self.out_scale: Optional[np.ndarray] = None
+        self.bias: Optional[np.ndarray] = None
+        self.epilogue: list = []
+        self.taps: Optional[list[np.ndarray]] = None
+        self._tap_block: Optional[np.ndarray] = None
+        if direct:
+            self._buf = np.zeros((n, self.out_h, self.out_w, c),
+                                 dtype=dtype)
+            self.interior = self._buf.transpose(0, 3, 1, 2)
+            return
         self._buf = np.zeros((n, h + 2 * p, w + 2 * p, c), dtype=dtype)
         self.interior = self._buf[:, p:p + h, p:p + w, :].transpose(
             0, 3, 1, 2)
@@ -752,24 +830,22 @@ class _ConvLowering:
             self._copy_shape = (groups, self.m, cpg * kh * kw)
         self._windows = np.lib.stride_tricks.as_strided(
             self._buf, shape=shape, strides=strides, writeable=False)
-        self.kernel_rows = kernel_rows
-        self.out_scale: Optional[np.ndarray] = None
-        self.bias: Optional[np.ndarray] = None
-        self.epilogue: list = []
-        self.taps: Optional[list[np.ndarray]] = None
-        self._tap_block: Optional[np.ndarray] = None
 
     def _copy(self) -> np.ndarray:
         # Always a fresh C-contiguous copy: a plain reshape would return
         # a strided view of the buffer when the windows happen to tile
-        # it (1x1 kernels), and float BLAS must see the layout it
-        # always saw.
+        # it (a grouped 1x1 kernel), and float BLAS must see the layout
+        # it always saw.
         out = np.empty(self._copy_shape, dtype=self._buf.dtype)
         np.copyto(out.reshape(self._windows.shape), self._windows)
         return out
 
     def rows(self) -> np.ndarray:
-        """The ``(G, M, K)`` im2row matrices of an im2row lowering."""
+        """The ``(G, M, K)`` im2row matrices: a copy, or for a direct
+        lowering the C-contiguous buffer itself (valid until the next
+        fill)."""
+        if self.direct:
+            return self._buf.reshape(1, self.m, -1)
         return self._copy()
 
     def panel(self) -> np.ndarray:
@@ -912,6 +988,16 @@ class _ConvStep(_Step):
     range taps are those of the one GEMM it replaces; at stride 1 every
     halo-buffer element lies in some window, so the panel and the rows
     have the same extrema.
+
+    ``direct`` is decided once too, from the node alone: a 1x1 kernel,
+    padding 0 and one group, for any backend, quantized or float.  Such
+    a step writes only the input pixels its windows read,
+    ``x[:, :, ::stride, ::stride]``, into a buffer that already is the
+    im2row matrix (see :class:`_ConvLowering`), so it neither
+    quantizes pixels no window reads nor copies the codes again.  Its
+    GEMMs receive the same values in the same C-contiguous ``(M, K)``
+    layout as a copied ``rows()[0]``, so outputs, stats and range taps
+    do not change.  It takes precedence over ``kernel_rows``.
     """
 
     can_fold_bn = True
@@ -936,6 +1022,8 @@ class _ConvStep(_Step):
         self._lowerings: dict[tuple[int, ...], _ConvLowering] = {}
         self.k_order = K_ORDER_IM2ROW
         self.kernel_rows = False
+        self.direct = (self.kh == self.kw == 1 and self.kpad == 0
+                       and self.groups == 1)
 
         if self.quant:
             self.act_qp, wgt_qp = _quant_params(node)
@@ -955,7 +1043,8 @@ class _ConvStep(_Step):
             self.gemms = binder.bind(node, label, panels)
             # Groups share config and K, hence one input dtype.
             self._act_dtype = self.gemms[0].input_dtype
-            self.kernel_rows = (self.stride == 1 and self.groups == 1
+            self.kernel_rows = (not self.direct
+                                and self.stride == 1 and self.groups == 1
                                 and self.k_order == K_ORDER_CHANNELS_LAST
                                 and self.gemms[0].block is not None)
             self._quant_act = _ActQuantizer(self.act_qp, self._act_dtype)
@@ -979,7 +1068,7 @@ class _ConvStep(_Step):
             dtype = self._act_dtype if self.quant else np.float64
             low = _ConvLowering(x_shape, self.kh, self.kw, self.stride,
                                 self.kpad, self.groups, dtype, self.k_order,
-                                self.kernel_rows)
+                                self.kernel_rows, self.direct)
             reps = low.out_h * low.out_w
             low.out_scale = _tile(self._out_scale, reps)
             low.bias = _tile(self._bias, reps)
@@ -994,6 +1083,8 @@ class _ConvStep(_Step):
                  result: InferenceResult) -> np.ndarray:
         x = arrays[0]
         low = self._lowering(x.shape)
+        if low.direct:
+            x = x[:, :, ::self.stride, ::self.stride]
         if self.quant:
             self._quant_act.into(x, low.interior)
         else:
@@ -1268,6 +1359,8 @@ def _compile(graph: GraphModel, backend: str, gemm_backend: str,
             steps.append(_ConvStep(node, label, eff, binder))
         elif node.op == "quant_linear":
             steps.append(_QuantLinearStep(node, label, eff, binder))
+        elif node.op == "batchnorm2d":
+            steps.append(_BatchNormStep(node, label, eff))
         else:
             steps.append(_GenericStep(node, label, eff))
 
@@ -1542,11 +1635,14 @@ def export_plan(plan: GraphPlan) -> SharedPlan:
             view.flags.writeable = False
             setter(view)
             specs.append(spec)
-        # Cached lowerings hold tiled copies of the private originals;
-        # dropping them makes the next call re-tile from the segment.
+        # Cached lowerings and batchnorm tiles hold tiled copies of the
+        # private originals; dropping them makes the next call re-tile
+        # from the segment.
         for step in plan.steps:
             if isinstance(step, _ConvStep):
                 step._lowerings.clear()
+            elif isinstance(step, _BatchNormStep):
+                step._tiles.clear()
         handle = SharedPlanHandle(
             segment=shm.name, arrays=tuple(specs), total_bytes=total,
             graph_json=plan.graph.to_json(),

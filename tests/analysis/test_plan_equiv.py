@@ -237,6 +237,56 @@ class TestSeededBugs:
             [("RANGE-EQUIV", step.label)]
         assert "16-bit AccMem wrap" in diags[0].message
 
+    def test_direct_lowering_on_3x3_conv_caught(self, resnet_graph,
+                                                resnet_analysis):
+        """Only a 1x1, unpadded, single-group conv reads its buffer as
+        the im2row matrix; a padded 3x3 step declared direct, or one
+        whose cached lowering is, is reported."""
+        plan = compile_graph(resnet_graph, backend="mixgemm", fuse=True)
+        plan.run(np.random.default_rng(7).standard_normal((2, 1, 12, 12)))
+        assert verify_plan(plan, analysis=resnet_analysis) == []
+        direct = [s for s in plan.steps if getattr(s, "direct", False)]
+        assert direct and all(s.kh == 1 for s in direct)
+        step = next(s for s in plan.steps if getattr(s, "kh", 1) == 3)
+        low = next(iter(step._lowerings.values()))
+        for tamper in (step, low):
+            tamper.direct = True
+            diags = verify_plan(plan, analysis=resnet_analysis)
+            assert [(d.rule, d.node) for d in diags] == \
+                [("RANGE-EQUIV", step.label)]
+            assert "direct lowering under a 3x3 kernel, padding 1" in \
+                diags[0].message
+            tamper.direct = False
+
+    def test_direct_lowering_on_grouped_conv_caught(self):
+        seed_init(5)
+        model = build_tiny("mobilenet_v1", act_bits=8, weight_bits=8)
+        model.eval()
+        graph = export_model(model, name="mobilenet_v1")
+        plan = compile_graph(graph, backend="mixgemm")
+        step = next(s for s in plan.steps if getattr(s, "groups", 1) > 1)
+        step.direct = True
+        diags = verify_plan(plan)
+        assert any(d.node == step.label
+                   and f"{step.groups} groups" in d.message for d in diags)
+
+    def test_tampered_bn_tiles_caught(self, resnet_graph, resnet_analysis):
+        """An unfused batchnorm step reads its tiled copies on
+        channels-last inputs, so the verifier checks them."""
+        plan = compile_graph(resnet_graph, backend="mixgemm", fuse=False)
+        plan.run(np.random.default_rng(7).standard_normal((2, 1, 12, 12)))
+        assert verify_plan(plan, analysis=resnet_analysis) == []
+        steps = [s for s in plan.steps if getattr(s, "_tiles", None)]
+        assert steps and all(s.op == "batchnorm2d" for s in steps)
+        step = steps[1]
+        wide = next(iter(step._tiles.values()))
+        wide.shift = wide.shift.copy()
+        wide.shift[-1] += 1e-3
+        diags = verify_plan(plan, analysis=resnet_analysis)
+        assert [(d.rule, d.node) for d in diags] == \
+            [("RANGE-EQUIV", step.label)]
+        assert "tiled shift diverges" in diags[0].message
+
     def test_unknown_k_order_caught(self, resnet_graph, resnet_analysis):
         plan = compile_graph(resnet_graph, backend="mixgemm", fuse=True)
         step = next(s for s in plan.steps

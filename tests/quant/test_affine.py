@@ -39,7 +39,7 @@ class TestQuantParams:
     def test_per_channel(self):
         qp = QuantParams(scale=[0.1, 0.2, 0.3], zero_point=0.0, bits=8,
                          signed=True, axis=0)
-        assert qp.is_per_channel
+        assert qp.axis == 0
         assert qp.scale.shape == (3,)
 
     def test_with_bits_preserves_range(self):

@@ -17,10 +17,17 @@ from repro.runtime.plan import _ConvLowering
 _N, _C, _H, _W = 2, 4, 9, 11
 
 
+def _fill(low, x, stride):
+    """What a conv step writes: the whole input, or for a direct
+    lowering only the pixels its 1x1 windows read."""
+    low.interior[...] = x[:, :, ::stride, ::stride] if low.direct else x
+
+
 def _lowered(x, kernel, stride, padding, groups, dtype, k_order):
+    direct = kernel == 1 and padding == 0 and groups == 1
     low = _ConvLowering(x.shape, kernel, kernel, stride, padding, groups,
-                        dtype, k_order)
-    low.interior[...] = x
+                        dtype, k_order, direct=direct)
+    _fill(low, x, stride)
     return low, low.rows()
 
 
@@ -49,7 +56,7 @@ def test_rows_equal_im2row(stride, padding, kernel, groups, dtype):
                 low, rows = _lowered(x, kernel, stride, padding, groups,
                                      dtype, k_order)
             else:
-                low.interior[...] = x
+                _fill(low, x, stride)
                 rows = low.rows()
             want = _expected(x, kernel, stride, padding, groups, k_order)
             assert rows.dtype == dtype
@@ -57,6 +64,19 @@ def test_rows_equal_im2row(stride, padding, kernel, groups, dtype):
                                                 _C // groups * kernel ** 2)
             assert all(rows[g].flags.c_contiguous for g in range(groups))
             assert np.array_equal(rows, want)
+
+
+@pytest.mark.parametrize("stride", [1, 2, 3])
+def test_direct_rows_are_the_buffer(stride):
+    """A direct lowering's rows are its buffer, not a copy, holding
+    exactly the strided read grid."""
+    x = np.arange(_N * _C * _H * _W, dtype=np.float32).reshape(
+        _N, _C, _H, _W)
+    low, rows = _lowered(x, 1, stride, 0, 1, np.float32, K_ORDER_IM2ROW)
+    assert low.direct and not low.kernel_rows
+    assert np.shares_memory(rows, low._buf)
+    assert low._buf.shape == (_N, low.out_h, low.out_w, _C)
+    assert np.array_equal(rows[0], im2row(x, 1, 1, stride, 0))
 
 
 def test_orders_coincide_for_one_channel_per_group():

@@ -87,6 +87,35 @@ class TestRoundTrip:
                     assert _run_stats(got) == _run_stats(want)
                 assert verify_plan(plan) == []
 
+    def test_unfused_plan_warmed_before_export(self):
+        """An unfused plan caches wide batchnorm tiles and direct 1x1
+        lowerings; export drops both, and both sides serve the warm
+        plan's bytes with every constant on the segment."""
+        seed_init(13)
+        model = build_tiny("resnet18", act_bits=8, weight_bits=8)
+        model.eval()
+        resnet = export_model(model, name="resnet18")
+        x = np.random.default_rng(5).standard_normal((3, 1, 12, 12))
+        plan = _compile(resnet, fuse=False)
+        want = plan.run(x)
+        assert any(getattr(s, "_tiles", None) for s in plan.steps)
+        assert any(getattr(s, "direct", False) for s in plan.steps)
+        with export_plan(plan) as shared:
+            assert not any(getattr(s, "_tiles", None)
+                           or getattr(s, "_lowerings", None)
+                           for s in plan.steps)
+            with attach_plan(shared.handle) as attached:
+                for served, buf in ((plan, shared.buf),
+                                    (attached.plan, attached.buf)):
+                    got = served.run(x)
+                    assert got.output.tobytes() == want.output.tobytes()
+                    assert _run_stats(got) == _run_stats(want)
+                    assert any(getattr(s, "_tiles", None)
+                               for s in served.steps)
+                    assert plan_share_stats(served, buf)[
+                        "plan_bytes_private"] == 0
+                    assert verify_plan(served) == []
+
     def test_accmem_wrap_config_round_trips(self, graph):
         """A wrapping accumulator config survives the shm round-trip."""
         x = demo_input(batch=2, size=6, seed=5)

@@ -150,6 +150,41 @@ class TestFusedMatchesUnfused:
         _check_fused_matches_unfused(name, (batch, 1, 13, 11))
 
 
+class TestUnfusedBatchNorm:
+    """A batchnorm step on a channels-last input runs one image row wide
+    against tiled constants; an NCHW input keeps the broadcast.  Both
+    must equal :func:`ops.apply_batchnorm` byte for byte."""
+
+    def _bn_plan(self, rng):
+        b = GraphBuilder("bn-relu")
+        bn = NodeSpec(op="batchnorm2d", attrs={"eps": 1e-5})
+        bn.tensors.update(gamma=1.0 + rng.standard_normal(_F),
+                          beta=rng.standard_normal(_F),
+                          running_mean=rng.standard_normal(_F),
+                          running_var=0.5 + rng.random(_F))
+        t = b.add(bn, inputs=["input"])
+        b.add(NodeSpec(op="relu"), inputs=[t])
+        return b.build(), bn
+
+    @pytest.mark.parametrize("fuse", [True, False])
+    def test_matches_broadcast(self, fuse):
+        rng = np.random.default_rng(11)
+        graph, bn = self._bn_plan(rng)
+        plan = compile_graph(graph, fuse=fuse)
+        step = plan.steps[0]
+        scale, shift = ops.batchnorm_params(bn.tensors, 1e-5)
+        for shape in [(3, 13, 11, _F), (1, 5, 7, _F), (3, 13, 11, _F)]:
+            nhwc = rng.standard_normal(shape)
+            for x in (nhwc.transpose(0, 3, 1, 2),
+                      np.ascontiguousarray(nhwc.transpose(0, 3, 1, 2))):
+                want = ops.relu(ops.apply_batchnorm(x, scale, shift))
+                got = plan.run(x).output
+                assert got.tobytes() == want.tobytes()
+                assert got.strides == want.strides
+        assert sorted(step._tiles) == [(1, _F, 5, 7), (3, _F, 13, 11)]
+        assert verify_plan(plan) == []
+
+
 class TestViewOpsKeepTheirInput:
     """``identity`` and ``flatten`` may return their input: a fused relu
     must not run in place on it."""
