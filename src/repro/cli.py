@@ -90,7 +90,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
           f"({info.folded_batchnorms} batchnorms folded, "
           f"{info.fused_activations} activations fused, "
           f"{info.bound_executors} bound GEMM executors"
-          + (f"; unfused, guarded at {info.guard_level}"
+          + (f"; guarded at {info.guard_level}"
              if info.guard_level != "off" else "") + ")")
     result = engine.run(x)
     stats = engine.pack_stats
@@ -484,9 +484,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="GEMM execution backend inside the simulator")
     p.add_argument("--guard-level", default="off",
                    choices=("off", "light", "standard", "full"),
-                   help="integrity-guard level (runs an unfused plan "
-                        "with guarded GEMM steps; standard and full "
-                        "force the event backend per call)")
+                   help="integrity-guard level (runs the fused plan "
+                        "with a per-node NaN/Inf fence and guarded GEMM "
+                        "steps; standard and full force the event "
+                        "backend per call)")
     p.set_defaults(func=_cmd_run)
 
     p = sub.add_parser(
@@ -595,9 +596,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="known bounds of the network input for "
                         "--ranges (default: unbounded)")
     p.add_argument("--verify-plan", action="store_true",
-                   help="with --ranges: also compile the fused and "
-                        "unfused inference plans and statically verify "
-                        "they preserve the proven ranges (RANGE-EQUIV)")
+                   help="with --ranges: also compile the inference "
+                        "plan (fused, as every run uses it) and its "
+                        "unfused reference and statically verify they "
+                        "preserve the proven ranges (RANGE-EQUIV)")
     p.add_argument("--ranges-table", default="", metavar="PATH",
                    help="with --ranges: write the per-layer bounds "
                         "table (derived accumulator bits, headroom, "

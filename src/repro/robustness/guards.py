@@ -171,8 +171,18 @@ def static_precheck(graph, *, accmem_bits: Optional[int] = None,
 
 
 def check_finite(label: str, arr: np.ndarray) -> None:
-    """NaN/Inf fence between graph nodes."""
-    if not np.all(np.isfinite(arr)):
+    """NaN/Inf fence between graph nodes.
+
+    One sum decides the common case: a NaN or an infinity makes the sum
+    non-finite, so a finite sum proves every element finite.  Only a
+    non-finite sum -- a bad element, or finite values whose sum
+    overflows -- pays for the exact element-wise scan.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = np.add.reduce(arr, axis=None)
+    if np.isfinite(total):
+        return
+    if not np.isfinite(arr).all():
         raise GuardError(
             f"non-finite values after node {label!r}",
             guard="finite",

@@ -22,9 +22,9 @@ from NaN/Inf fences up to per-layer shadow verification against the
 numpy reference, a ``fault_plan`` wires a deterministic fault injector
 into the simulated datapath, and :class:`InferenceResult` reports every
 detection and recovery, so a run doubles as a reliability report.
-Armed, the plan is compiled unfused with guarded GEMM steps (see the
-plan module's "Guarded execution" section); the graph-level checks run
-here, before the plan.
+Armed, the same fused plan runs with guarded GEMM steps and a per-node
+NaN/Inf fence (see the plan module's "Guarded execution" section); the
+graph-level checks run here, before the plan.
 """
 
 from __future__ import annotations
@@ -141,16 +141,16 @@ class InferenceEngine:
     def plan(self) -> GraphPlan:
         """The plan :meth:`run` executes, compiled on first use.
 
-        Unguarded engines compile it fused; armed guards or a fault
-        plan compile it unfused with guarded GEMM steps.  While a fault
-        plan is armed, every :meth:`run` recompiles it, because the
-        injector corrupts the shipped weights between runs.
+        Always fused; armed guards or a fault plan add guarded GEMM
+        steps and the per-node fence.  While a fault plan is armed,
+        every :meth:`run` recompiles it, because the injector corrupts
+        the shipped weights between runs.
         """
         if self._plan is None:
             self._plan = _compile(
                 self.graph, self.backend, self.gemm_backend,
                 self.accmem_bits, self._pack_cache,
-                fuse=self._guards is None, guards=self._guards)
+                fuse=True, guards=self._guards)
         return self._plan
 
     def run(self, x: np.ndarray) -> InferenceResult:

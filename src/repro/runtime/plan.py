@@ -58,18 +58,31 @@ weights once per deployment and keeps the hot loop pure arithmetic;
 Guarded execution
 -----------------
 When an :class:`~repro.runtime.engine.InferenceEngine` arms guards or a
-fault plan, it compiles an *unfused* plan (``fuse=False``), so every
-node keeps its own step and label for the NaN/Inf fence, the range tap
-and fault events.  Each quantized step then binds a :class:`_GuardedGemm`
-in place of the bound one: per call it announces the layer to the fault
-injector, runs a fresh :class:`~repro.core.gemm.MixGemm` with the pack
-guard and fault hook wired in, checks the shadow reference, retries,
-and finally degrades to the numpy reference, recording every
+fault plan, it compiles the same fused plan an unguarded engine runs.
+The plan's tap (the range observer, and from ``light`` on the NaN/Inf
+fence, :class:`_NodeFence`) is set on every step at compile time, and a
+fused step reports each absorbed node's value to it in graph order:
+the conv/add/linear result under its ``source_label``, then every
+folded batchnorm or activation under its own node label, each before
+the next epilogue entry overwrites it in place; :meth:`GraphPlan.run`
+taps the step's final label.  The fence therefore fires at the node,
+and with the message, an unfused plan gives -- an inf batchnorm shift
+is caught at the batchnorm, before a relu turns ``-inf`` into 0.  It
+skips the finiteness scan (and keeps the range observation) at nodes
+that cannot be the first to fail: ops that map finite inputs to finite
+outputs (``_FINITE_OPS``) and do not read the raw graph input.
+
+Each quantized step then binds a :class:`_GuardedGemm` in place of the
+bound one: per call it announces the layer to the fault injector, runs
+a fresh :class:`~repro.core.gemm.MixGemm` with the pack guard and fault
+hook wired in, checks the shadow reference, retries, and finally
+degrades to the numpy reference, recording every
 :class:`~repro.robustness.recovery.FaultEvent`.  The choice is made when
 the plan is built, so an unguarded plan's steps carry no guard branch.
 Graph-level work -- the static precheck, injected weight corruption and
 the weight vault's verify-and-restore -- stays in the engine, before the
-plan runs.
+plan runs.  ``compile_graph(fuse=False)`` remains as the differential
+reference that tests and ``repro check --verify-plan`` compare against.
 
 Bit-exactness is a design invariant, not an aspiration: every float
 operation the plan executes is the numpy expression the quantized
@@ -595,7 +608,14 @@ class _LinearFn:
 
 
 class _Step:
-    """Base compiled step: one output label plus a fused epilogue chain."""
+    """Base compiled step: one output label plus a fused epilogue chain.
+
+    ``tap`` is the plan's per-node tap (set by :func:`_compile`, ``None``
+    when nothing watches).  The finish methods report to it the value
+    each epilogue entry is about to overwrite, under the label of the
+    node that produced it (``_tap_labels``); the step's own output is
+    tapped by :meth:`GraphPlan.run`.
+    """
 
     #: Set by subclasses that accept a batchnorm fold.
     can_fold_bn = False
@@ -609,6 +629,10 @@ class _Step:
         self.input_ids = list(input_ids)
         self.epilogue: list[Callable[[np.ndarray], np.ndarray]] = []
         self.fused: list[str] = []
+        self.tap: Optional[Callable[[str, np.ndarray], None]] = None
+        #: Entry ``i``'s input value's node label: ``source_label``,
+        #: then each absorbed node's but the last.
+        self._tap_labels: list[str] = []
 
     def fuse(self, node: NodeSpec, label: str) -> None:
         """Absorb an elementwise follower; the step takes its label."""
@@ -625,20 +649,31 @@ class _Step:
         else:  # pragma: no cover - guarded by the fusion pass
             raise GraphError(f"cannot fuse op {node.op}")
         self.fused.append(node.op)
+        self._tap_labels.append(self.label)
         self.label = label
 
     def _finish(self, y: np.ndarray) -> np.ndarray:
-        for fn in self.epilogue:
+        tap = self.tap
+        for fn, label in zip(self.epilogue, self._tap_labels):
+            if tap is not None:
+                tap(label, y)
             y = fn(y)
         return y
 
     def _finish_in_place(self, y: np.ndarray,
-                         epilogue: Optional[list] = None) -> np.ndarray:
+                         epilogue: Optional[list] = None,
+                         view: Optional[np.ndarray] = None) -> np.ndarray:
         """:meth:`_finish` on an array the step owns: every epilogue
         entry writes back into ``y`` (same ufuncs, same order).
         ``epilogue`` replaces :attr:`epilogue` with an entry-for-entry
-        equivalent whose constants match ``y``'s layout."""
-        for fn in self.epilogue if epilogue is None else epilogue:
+        equivalent whose constants match ``y``'s layout, and ``view``
+        (a view of ``y`` in the node's layout) is what the tap sees."""
+        tap = self.tap
+        seen = y if view is None else view
+        for fn, label in zip(self.epilogue if epilogue is None
+                             else epilogue, self._tap_labels):
+            if tap is not None:
+                tap(label, seen)
             fn(y, out=y)
         return y
 
@@ -1111,8 +1146,9 @@ class _ConvStep(_Step):
             np.multiply(wide, low.out_scale, out=wide)
         if low.bias is not None:
             np.add(wide, low.bias, out=wide)
-        self._finish_in_place(wide, low.epilogue)
-        return rows_to_nchw(y, n, low.out_h, low.out_w)
+        out = rows_to_nchw(y, n, low.out_h, low.out_w)
+        self._finish_in_place(wide, low.epilogue, out)
+        return out
 
 
 class _QuantLinearStep(_Step):
@@ -1175,15 +1211,22 @@ def _observe_out(label: str, out: np.ndarray) -> None:
 
 class _NodeFence:
     """A guarded plan's per-node output check: NaN/Inf fence, after the
-    range tap (which stays off while a fault injector is armed)."""
+    range tap (which stays off while a fault injector is armed).
 
-    def __init__(self, observe: bool) -> None:
+    ``unfenced`` names the nodes whose fence cannot be the first to
+    fire -- a finite-preserving op (``_FINITE_OPS``) fed only by fenced
+    nodes -- so only their range is observed.
+    """
+
+    def __init__(self, observe: bool, unfenced: frozenset[str]) -> None:
         self.observe = observe
+        self.unfenced = unfenced
 
     def __call__(self, label: str, out: np.ndarray) -> None:
         if self.observe:
             observe_range(label, "out", out)
-        check_finite(label, out)
+        if label not in self.unfenced:
+            check_finite(label, out)
 
 
 class GraphPlan:
@@ -1192,7 +1235,13 @@ class GraphPlan:
     Plans snapshot the graph's weights at compile time; mutating the
     graph afterwards (e.g. a fault campaign) requires recompiling.  Not
     thread-safe -- see the module docstring.  ``tap`` (chosen at compile
-    time, ``None`` when nothing watches) sees every step's output.
+    time, ``None`` when nothing watches) sees every step's output; the
+    steps themselves report the nodes they absorbed (:class:`_Step`).
+
+    ``run`` drops each value once its last consumer has run
+    (``_drops``, fixed here from the steps' wiring), so a step's output
+    is freed as early as the graph allows; the input and the graph
+    output are never dropped.
     """
 
     def __init__(self, graph: Optional[GraphModel], steps: list[_Step],
@@ -1204,6 +1253,7 @@ class GraphPlan:
         self.info = info
         self.pack_cache = pack_cache
         self._tap = tap
+        self._drops = _last_uses(steps)
 
     def release_source(self) -> None:
         """Drop the reference to the source graph.
@@ -1223,7 +1273,7 @@ class GraphPlan:
         values: dict[str, np.ndarray] = {"input": result.output}
         label = "input"
         tap = self._tap
-        for step in self.steps:
+        for step, drops in zip(self.steps, self._drops):
             try:
                 arrays = [values[name] for name in step.input_ids]
             except KeyError as exc:
@@ -1235,6 +1285,8 @@ class GraphPlan:
             if tap is not None:
                 tap(label, out)
             values[label] = out
+            for name in drops:
+                del values[name]
         result.output = values[label]
         return result
 
@@ -1248,6 +1300,27 @@ class GraphPlan:
 
     def describe(self) -> dict:
         return self.info.as_dict()
+
+
+def _last_uses(steps: list[_Step]) -> list[tuple[str, ...]]:
+    """Per step, the values :meth:`GraphPlan.run` drops after it runs.
+
+    A value goes after its last consumer, or after its producer when
+    nothing reads it; ``"input"`` and the graph output (the last step's
+    value) stay.
+    """
+    last: dict[str, int] = {}
+    for i, step in enumerate(steps):
+        for name in step.input_ids:
+            last[name] = i
+        last[step.label] = i
+    last.pop("input", None)
+    if steps:
+        last.pop(steps[-1].label, None)
+    drops: list[list[str]] = [[] for _ in steps]
+    for name, i in last.items():
+        drops[i].append(name)
+    return [tuple(names) for names in drops]
 
 
 def _effective_wiring(graph: GraphModel
@@ -1291,6 +1364,11 @@ _BINARY_OPS = frozenset({"add", "channel_scale"})
 
 #: Ops a step can absorb into its epilogue (elementwise, single-input).
 _FUSABLE_ACTS = frozenset({"relu", "relu6"})
+
+#: Ops whose output is finite whenever their input is: the NaN/Inf
+#: fence after one is skipped unless it reads the raw graph input.
+_FINITE_OPS = frozenset({"relu", "relu6", "max_pool2d", "flatten",
+                         "identity"})
 
 
 def compile_graph(graph: GraphModel, *, backend: str = "numpy",
@@ -1374,9 +1452,13 @@ def _compile(graph: GraphModel, backend: str, gemm_backend: str,
     observe = backend == "mixgemm" and (guards is None
                                         or guards.injector is None)
     if guards is not None and guards.rank >= 1:
-        tap = _NodeFence(observe)
+        tap = _NodeFence(observe, frozenset(
+            label for node, label, eff in zip(graph, labels, inputs_of)
+            if node.op in _FINITE_OPS and "input" not in eff))
     else:
         tap = _observe_out if observe else None
+    for step in steps:
+        step.tap = tap
     info = PlanInfo(
         nodes=len(graph), steps=len(steps), folded_batchnorms=folded_bn,
         fused_activations=fused_act, bound_executors=bound,

@@ -252,10 +252,11 @@ class BatchedServer:
         How long a blocked ``submit()`` waits for a queue slot.
     guard_level / fault_plan / recovery:
         Forwarded to each worker's :class:`InferenceEngine`, same
-        semantics as direct inference (an unfused plan with guarded
-        GEMM steps).  Unarmed, each worker serves a fused
-        :class:`~repro.runtime.plan.GraphPlan` replica directly.  Arming
-        either makes every response carry fault/fallback metadata.
+        semantics as direct inference (the fused plan with guarded
+        GEMM steps and a per-node NaN/Inf fence).  Unarmed, each worker
+        serves a fused :class:`~repro.runtime.plan.GraphPlan` replica
+        directly.  Arming either makes every response carry
+        fault/fallback metadata.
     breaker:
         A :class:`~repro.robustness.recovery.BreakerPolicy` arms the
         circuit breaker: repeated faulty batches degrade the pool to

@@ -113,7 +113,11 @@ class TestPackGuard:
         PackGuard(small_config()).check_result(np.empty((0, 0)), 10)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestFiniteFence:
+    """The fence decides on one sum and scans only when the sum is not
+    finite; every case also runs with RuntimeWarnings as errors."""
+
     def test_finite_tensor_passes(self):
         check_finite("n0", np.zeros((2, 2)))
 
@@ -124,7 +128,47 @@ class TestFiniteFence:
         with pytest.raises(GuardError) as err:
             check_finite("conv1", arr)
         assert err.value.guard == "finite"
-        assert "conv1" in str(err.value)
+        assert str(err.value) == "non-finite values after node 'conv1'"
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_float32_rejected(self, bad):
+        arr = np.ones((3, 5), dtype=np.float32)
+        arr[2, 4] = bad
+        with pytest.raises(GuardError):
+            check_finite("conv1", arr)
+
+    def test_opposite_infinities_rejected(self):
+        # +inf + -inf sums to NaN, which is still not finite.
+        arr = np.array([1.0, np.inf, -np.inf, 2.0])
+        with pytest.raises(GuardError):
+            check_finite("n1", arr)
+
+    @pytest.mark.parametrize("dtype,big", [(np.float64, 1e308),
+                                           (np.float32, 3e38)])
+    def test_finite_values_whose_sum_overflows_pass(self, dtype, big):
+        arr = np.full((4, 3), big, dtype=dtype)
+        arr[0, 0] = -big / 2
+        with np.errstate(over="ignore"):
+            assert not np.isfinite(np.add.reduce(arr, axis=None))
+        check_finite("n2", arr)
+        check_finite("n2", -arr)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_empty_arrays_pass(self, dtype):
+        check_finite("n3", np.empty((0, 4), dtype=dtype))
+        check_finite("n3", np.empty((2, 0, 3, 3), dtype=dtype))
+
+    def test_nchw_view_of_nhwc_memory(self):
+        nhwc = np.random.default_rng(0).standard_normal((2, 5, 4, 3))
+        nchw = nhwc.transpose(0, 3, 1, 2)
+        assert not nchw.flags.c_contiguous
+        check_finite("n4", nchw)
+        nhwc[1, 4, 3, 2] = np.nan
+        with pytest.raises(GuardError):
+            check_finite("n4", nchw)
+        nhwc[1, 4, 3, 2] = 1e308
+        nhwc[0, 0, 0, 0] = 1e308
+        check_finite("n4", nchw)
 
 
 class TestTensorVault:

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import pathlib
+import weakref
 
 import numpy as np
 import pytest
@@ -207,18 +208,23 @@ class TestEngineIntegration:
 
 
 class TestGuardedPlans:
-    """Guards and fault injection run on an unfused plan whose
+    """Guards and fault injection run on the fused plan, whose
     quantized steps carry guarded GEMMs chosen at compile time."""
 
     @pytest.mark.parametrize("level", ["light", "standard", "full"])
-    def test_guards_compile_unfused_guarded_plan(self, level):
+    def test_guards_compile_fused_guarded_plan(self, level):
         graph = demo_graph()
         engine = InferenceEngine(graph, backend="mixgemm",
                                  guard_level=level)
         plan = engine.plan
-        assert not plan.info.fuse
+        assert plan.info.fuse
         assert plan.info.guard_level == level
-        assert len(plan.steps) == len(graph)
+        # conv+relu, conv+relu, flatten, linear: the unguarded structure.
+        unguarded = compile_graph(graph, backend="mixgemm")
+        assert [s.label for s in plan.steps] == [
+            s.label for s in unguarded.steps]
+        assert len(plan.steps) == 4 and plan.info.fused_activations == 2
+        assert all(s.tap is plan._tap for s in plan.steps)
         guarded = [g for _, gemms in _quant_steps(plan) for g in gemms
                    if isinstance(g, _GuardedGemm)]
         # Light guards only fence node outputs: the GEMMs stay bound.
@@ -261,6 +267,53 @@ class TestGuardedPlans:
         assert first.fault_events
         assert first.fault_events == second.fault_events
         assert np.array_equal(first.output, second.output)
+
+
+class TestLiveness:
+    """``run`` drops each value after its last consumer has run."""
+
+    def test_drops_every_value_but_input_and_output_once(self, resnet_graph):
+        plan = compile_graph(resnet_graph, backend="mixgemm")
+        dropped = [name for names in plan._drops for name in names]
+        assert sorted(dropped) == sorted(s.label for s in plan.steps[:-1])
+
+    def test_first_result_survives_a_second_run(self, resnet_graph,
+                                                 resnet_input):
+        plan = compile_graph(resnet_graph, backend="mixgemm")
+        first = plan.run(resnet_input)
+        kept = first.output.copy()
+        second = plan.run(resnet_input[::-1].copy())
+        assert not np.array_equal(second.output, kept)
+        assert np.array_equal(first.output, kept)
+
+    def test_intermediates_released_before_run_returns(self, resnet_graph,
+                                                       resnet_input):
+        plan = compile_graph(resnet_graph, backend="mixgemm")
+        last = plan.steps[-1]
+        refs: dict[str, weakref.ref] = {}
+        alive_at_last: list[str] = []
+
+        class _Recorder:
+            def __init__(self, step):
+                self.step = step
+
+            def __getattr__(self, attr):
+                return getattr(self.step, attr)
+
+            def __call__(self, arrays, result):
+                if self.step is last:
+                    alive_at_last.extend(
+                        label for label, ref in refs.items()
+                        if ref() is not None)
+                out = self.step(arrays, result)
+                refs[self.step.label] = weakref.ref(out)
+                return out
+
+        plan.steps[:] = [_Recorder(s) for s in plan.steps]
+        plan.run(resnet_input)
+        assert len(refs) == len(plan.steps)
+        # Only the last step's own input is still held when it runs.
+        assert alive_at_last == list(last.input_ids)
 
 
 class TestPlanInfo:

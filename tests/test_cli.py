@@ -103,13 +103,15 @@ class TestRun:
             cycles = line.split("cycles=")[1].split()[0]
             assert line.endswith(f"predicted={cycles}")
 
-    def test_guarded_run_prints_unfused_plan(self, capsys):
+    def test_guarded_run_prints_fused_plan(self, capsys):
         assert main(["run"]) == 0
         plain = capsys.readouterr().out
         assert main(["run", "--guard-level", "light"]) == 0
         out = capsys.readouterr().out
-        assert "compiled plan: 6 steps" in out
-        assert "guarded at light" in out
+        assert "compiled plan: 4 steps" in out
+        assert "2 activations fused" in out
+        assert "; guarded at light)" in out
+        assert "unfused" not in out
         assert "predicted=" not in out
 
         def pick(text, prefix):
