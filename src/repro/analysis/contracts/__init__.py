@@ -18,12 +18,12 @@ that the dynamic engine cannot wrap, deadlock or crash on the model.
 
 from __future__ import annotations
 
-from repro.analysis.diagnostics import Diagnostic, DiagnosticReport
+from repro.analysis.diagnostics import DiagnosticReport
 from repro.core.binseg import DEFAULT_MUL_WIDTH
 from repro.core.config import BlockingParams, DEFAULT_ACCMEM_BITS
 
-from .graph import GRAPH_RULES, check_graph_structure
-from .overflow import OVERFLOW_RULES, check_overflow
+from .graph import GRAPH_RULES, check_graph_structure, load_graph_file
+from .overflow import OVERFLOW_RULES, check_overflow, runtime_blocking
 from .packing import PACKING_RULES, check_config
 
 #: rule id -> one-line description, for SARIF rule metadata and docs.
@@ -32,13 +32,6 @@ CONTRACT_RULES: dict[str, str] = {
     **OVERFLOW_RULES,
     **PACKING_RULES,
 }
-
-
-def _runtime_blocking() -> BlockingParams:
-    """The blocking the inference engine actually deploys with."""
-    from repro.runtime.engine import SIM_BLOCKING
-
-    return SIM_BLOCKING
 
 
 def check_graph(
@@ -57,7 +50,7 @@ def check_graph(
     clean report here is a no-wrap/no-crash guarantee for a default run.
     """
     if blocking is None:
-        blocking = _runtime_blocking()
+        blocking = runtime_blocking()
     report = DiagnosticReport()
     report.extend(check_graph_structure(graph, path=path))
     report.extend(check_overflow(
@@ -74,23 +67,11 @@ def check_graph_file(
     blocking: BlockingParams | None = None,
     mul_width: int = DEFAULT_MUL_WIDTH,
 ) -> DiagnosticReport:
-    """Load a serialized model and contract-check it.
-
-    Deserialization failures become ``GRF-PARSE`` diagnostics instead of
-    exceptions, so a CI lane can report on a corrupt artifact.
-    """
-    from repro.runtime.graph import GraphError, GraphModel
-
-    try:
-        graph = GraphModel.load(path)
-    except (GraphError, OSError) as exc:
-        report = DiagnosticReport()
-        report.add(Diagnostic(
-            rule="GRF-PARSE", severity="error",
-            message=f"cannot load model: {exc}", path=path,
-            hint="re-export the model with GraphModel.to_json()",
-        ))
-        return report
+    """Load a serialized model (:func:`load_graph_file`) and
+    contract-check it."""
+    graph, parse_error = load_graph_file(path)
+    if parse_error is not None:
+        return DiagnosticReport([parse_error])
     return check_graph(graph, accmem_bits=accmem_bits, blocking=blocking,
                        mul_width=mul_width, path=path)
 

@@ -37,6 +37,26 @@ _PASSTHROUGH = frozenset({
 })
 
 
+def load_graph_file(path: str):
+    """``(graph, None)`` for a loadable model file, else ``(None, diag)``.
+
+    The one loader behind ``repro check --graph``, ``--ranges`` and
+    ``--cost``: a deserialization failure becomes a ``GRF-PARSE``
+    diagnostic instead of an exception, so a CI lane can report on a
+    corrupt artifact, and every pass reports it identically.
+    """
+    from repro.runtime.graph import GraphError, GraphModel
+
+    try:
+        return GraphModel.load(path), None
+    except (GraphError, OSError) as exc:
+        return None, Diagnostic(
+            rule="GRF-PARSE", severity=ERROR,
+            message=f"cannot load model: {exc}", path=path,
+            hint="re-export the model with GraphModel.to_json()",
+        )
+
+
 def _err(rule: str, message: str, *, node: str, path: str,
          hint: str = "") -> Diagnostic:
     return Diagnostic(rule=rule, severity=ERROR, message=message,

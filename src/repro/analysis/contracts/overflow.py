@@ -37,6 +37,13 @@ OVERFLOW_RULES: dict[str, str] = {
 _QUANT_OPS = ("quant_conv2d", "quant_linear")
 
 
+def runtime_blocking() -> BlockingParams:
+    """The blocking the inference engine actually deploys with."""
+    from repro.runtime.engine import SIM_BLOCKING
+
+    return SIM_BLOCKING
+
+
 def node_config(node, *, accmem_bits: int, blocking: BlockingParams,
                 mul_width: int = DEFAULT_MUL_WIDTH,
                 ) -> MixGemmConfig | None:

@@ -26,7 +26,8 @@ from __future__ import annotations
 import dataclasses
 from typing import Optional
 
-from repro.analysis.contracts.overflow import node_config
+from repro.analysis.contracts.graph import load_graph_file
+from repro.analysis.contracts.overflow import node_config, runtime_blocking
 from repro.analysis.diagnostics import Diagnostic, DiagnosticReport, WARNING
 from repro.core.binseg import DEFAULT_MUL_WIDTH
 from repro.core.config import (
@@ -59,13 +60,6 @@ IMBALANCE_THRESHOLD = 0.20
 _QUANT_OPS = ("quant_conv2d", "quant_linear")
 
 
-def _runtime_blocking() -> BlockingParams:
-    """The blocking the inference engine actually deploys with."""
-    from repro.runtime.engine import SIM_BLOCKING
-
-    return SIM_BLOCKING
-
-
 def check_cost(graph, *,
                accmem_bits: int = DEFAULT_ACCMEM_BITS,
                blocking: Optional[BlockingParams] = None,
@@ -76,7 +70,7 @@ def check_cost(graph, *,
                path: str = "") -> DiagnosticReport:
     """Run the two COST-* checks over every quantized node."""
     if blocking is None:
-        blocking = _runtime_blocking()
+        blocking = runtime_blocking()
     if costs is None:
         costs = KernelCosts()
     report = DiagnosticReport()
@@ -158,23 +152,11 @@ def check_cost_file(path: str, *,
                     workers: int = 1,
                     assumed_m: int = DEFAULT_ASSUMED_M,
                     ) -> DiagnosticReport:
-    """Load a serialized model and cost-check it.
-
-    Deserialization failures become ``GRF-PARSE`` diagnostics instead
-    of exceptions, so a CI lane can report on a corrupt artifact.
-    """
-    from repro.runtime.graph import GraphError, GraphModel
-
-    try:
-        graph = GraphModel.load(path)
-    except (GraphError, OSError) as exc:
-        report = DiagnosticReport()
-        report.add(Diagnostic(
-            rule="GRF-PARSE", severity="error",
-            message=f"cannot load model: {exc}", path=path,
-            hint="re-export the model with GraphModel.to_json()",
-        ))
-        return report
+    """Load a serialized model (:func:`load_graph_file`) and cost-check
+    it."""
+    graph, parse_error = load_graph_file(path)
+    if parse_error is not None:
+        return DiagnosticReport([parse_error])
     return check_cost(graph, accmem_bits=accmem_bits, blocking=blocking,
                       mul_width=mul_width, workers=workers,
                       assumed_m=assumed_m, path=path)

@@ -40,7 +40,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.analysis.contracts.overflow import node_config
+from repro.analysis.contracts.overflow import node_config, runtime_blocking
 from repro.analysis.diagnostics import AnalysisError
 from repro.core.binseg import accumulator_bits_required
 from repro.core.config import BlockingParams, DEFAULT_ACCMEM_BITS
@@ -57,12 +57,6 @@ from .domain import (
 )
 
 _UNKNOWN = TensorRange.scalar(-math.inf, math.inf)
-
-
-def _runtime_blocking() -> BlockingParams:
-    from repro.runtime.engine import SIM_BLOCKING
-
-    return SIM_BLOCKING
 
 
 @dataclass(frozen=True)
@@ -491,7 +485,7 @@ def analyze_graph(graph, *,
     granularity matches what actually runs.
     """
     if blocking is None:
-        blocking = _runtime_blocking()
+        blocking = runtime_blocking()
     if input_range is None:
         input_range = (-math.inf, math.inf)
     lo, hi = float(input_range[0]), float(input_range[1])

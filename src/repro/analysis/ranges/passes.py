@@ -24,9 +24,10 @@ Rules:
   crosscheck (:mod:`.sanitizer`) when an observed value escapes its
   static interval (a soundness escape; must never happen).
 
-``GRF-PARSE`` is shared with the graph contract pass: both load model
-files, and a corrupt artifact is the same finding whichever pass trips
-over it first (the SARIF emitter deduplicates the shared metadata).
+``GRF-PARSE`` is the graph contract pass's rule: every pass loads model
+files through :func:`~repro.analysis.contracts.graph.load_graph_file`,
+so a corrupt artifact is the same finding whichever pass trips over it
+first (the SARIF emitter deduplicates the shared metadata).
 
 Suppression: graph nodes have no source lines, so the ``# repro: noqa``
 convention maps to a node attribute -- ``"noqa": true`` suppresses every
@@ -57,7 +58,7 @@ RANGES_RULES: dict[str, str] = {
                    "proven ranges",
     "RANGE-OBSERVED": "runtime value escaped its static interval "
                       "(soundness violation)",
-    # Shared with the graph contract pass -- both deserialize models.
+    # The shared loader's finding (contracts.graph.load_graph_file).
     "GRF-PARSE": "model file cannot be deserialized",
 }
 
@@ -155,19 +156,14 @@ def check_ranges_file(path: str, *,
     """Load a serialized model, range-check it, optionally verify plans.
 
     Returns ``(diagnostics, analysis)``; ``analysis`` is ``None`` when
-    the model cannot even be deserialized (reported as ``GRF-PARSE``,
-    the same finding the graph contract pass emits for that artifact).
+    the model cannot even be deserialized (reported as ``GRF-PARSE``
+    by :func:`~repro.analysis.contracts.graph.load_graph_file`).
     """
-    from repro.runtime.graph import GraphError, GraphModel
+    from repro.analysis.contracts.graph import load_graph_file
 
-    try:
-        graph = GraphModel.load(path)
-    except (GraphError, OSError) as exc:
-        return [Diagnostic(
-            rule="GRF-PARSE", severity=ERROR,
-            message=f"cannot load model: {exc}", path=path,
-            hint="re-export the model with GraphModel.to_json()",
-        )], None
+    graph, parse_error = load_graph_file(path)
+    if parse_error is not None:
+        return [parse_error], None
     analysis = analyze_graph(graph, accmem_bits=accmem_bits,
                              blocking=blocking, input_range=input_range)
     diags = check_ranges(graph, accmem_bits=accmem_bits,

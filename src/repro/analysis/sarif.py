@@ -31,29 +31,6 @@ LEVEL_FOR_SEVERITY = {
 }
 
 
-def _all_rules() -> dict[str, str]:
-    """Every rule id the tool can emit, with its one-line description.
-
-    A rule id may be registered by more than one pass (``GRF-PARSE`` is
-    shared by the graph contracts and the range analyzer: both read the
-    same model file).  The *first* registration wins -- a single SARIF
-    driver must list each rule exactly once, and clobbering would make
-    the metadata depend on pass ordering.
-    """
-    from repro.analysis.astlint import LINT_RULES
-    from repro.analysis.concurrency.checker import CONC_RULES
-    from repro.analysis.contracts import CONTRACT_RULES
-    from repro.analysis.cost import COST_RULES
-    from repro.analysis.ranges import RANGES_RULES
-
-    merged: dict[str, str] = {}
-    for registry in (CONTRACT_RULES, LINT_RULES, CONC_RULES,
-                     RANGES_RULES, COST_RULES):
-        for rid, description in registry.items():
-            merged.setdefault(rid, description)
-    return merged
-
-
 def _location(diag) -> dict:
     physical: dict = {
         "artifactLocation": {"uri": diag.path or "<unknown>"},
@@ -72,8 +49,15 @@ def _location(diag) -> dict:
 
 
 def to_sarif(report: DiagnosticReport, *, tool_version: str = "") -> dict:
-    """Render a report as a SARIF 2.1.0 log object (a plain dict)."""
-    rules = _all_rules()
+    """Render a report as a SARIF 2.1.0 log object (a plain dict).
+
+    The driver lists every rule id the tool can emit once, from
+    :data:`repro.analysis.ALL_RULES` (where a rule two passes register,
+    ``GRF-PARSE``, keeps its first registration).
+    """
+    from repro.analysis import ALL_RULES
+
+    rules = dict(ALL_RULES)
     # A result whose rule id no registry declared (e.g. from an external
     # pass) still must resolve: synthesize a driver entry so every
     # result carries a valid ruleIndex instead of a dangling ruleId.

@@ -393,11 +393,6 @@ def mix_gemm(
     return executor.gemm(a, b)
 
 
-def macs_for(m: int, n: int, k: int) -> int:
-    """MAC count of an m x n x k GEMM."""
-    return m * n * k
-
-
 def uvector_loads(m: int, n: int, k: int, config: MixGemmConfig) -> int:
     """Total u-vector loads a full GEMM performs (for memory accounting)."""
     lay = config.layout

@@ -13,10 +13,10 @@ the end.  Results are bit-exact (each core runs the ordinary
 :class:`~repro.core.gemm.MixGemm` on its slice) and the timing is the
 slowest core plus a synchronization cost.
 
-Since the serving PR the per-core slices also *run* on real threads
-(``threaded=True``, the default for ``cores > 1``): each core's
-executor is driven from a worker thread, which overlaps the numpy
-portions of the slices and -- more importantly -- exercises the shared
+Whenever a call splits N across more than one core, the per-core
+slices also *run* on real threads: each core's executor is driven from
+a worker thread, which overlaps the numpy portions of the slices and --
+more importantly -- exercises the shared
 :class:`~repro.core.packcache.PackingCache` under genuine contention,
 which the concurrency stress tests rely on.  Per-core executors are
 stateful (each owns a ``MicroEngine``), so one ``gemm()`` call owns
@@ -102,14 +102,12 @@ class ParallelMixGemm:
         barrier_cycles: int = DEFAULT_BARRIER_CYCLES,
         backend: str = AUTO,
         pack_cache: PackingCache | None = None,
-        threaded: bool | None = None,
     ) -> None:
         if cores < 1:
             raise ValueError(f"need at least one core, got {cores}")
         self.config = config
         self.cores = cores
         self.barrier_cycles = barrier_cycles
-        self.threaded = cores > 1 if threaded is None else threaded
         # One shared cache across the per-core executors: every core
         # consumes the same packed A, and the N-slices of B are distinct
         # matrices (distinct fingerprints), so sharing is always safe.
@@ -140,10 +138,10 @@ class ParallelMixGemm:
              cores: int | None = None) -> ParallelGemmResult:
         """Compute ``A @ B`` across the cores; bit-exact, max-core timing.
 
-        With ``threaded`` (default for ``cores > 1``) the per-core
-        slices run on real worker threads -- results stay bit-exact
-        because the slices write disjoint columns and are collected in
-        submission order, independent of thread scheduling.
+        With more than one slice the per-core slices run on real worker
+        threads -- results stay bit-exact because the slices write
+        disjoint columns and are collected in submission order,
+        independent of thread scheduling.
 
         ``cores`` restricts this call to the first ``cores`` executors
         of the bank (``1 <= cores <= self.cores``), reusing one executor
@@ -165,7 +163,7 @@ class ParallelMixGemm:
         c = np.zeros((m, n), dtype=np.int64)
         slices = column_partition(n, cores, self.config.blocking.nr)
         with self._gemm_lock:
-            if self.threaded and len(slices) > 1:
+            if len(slices) > 1:
                 with ThreadPoolExecutor(
                         max_workers=len(slices),
                         thread_name_prefix="repro-core") as pool:

@@ -3,14 +3,13 @@
 * Figure 6 sweeps square GEMMs "with 64 to 2048 elements per dimension"
   over 12 activation/weight combinations;
 * Table III's microbenchmark is a single convolution (16x16x32 input,
-  64x3x3x32 filter);
+  64x3x3x32 filter), :func:`repro.models.inventory.table3_convolution`;
 * Figure 7 / Table III evaluate the six CNN inventories.
 """
 
 from __future__ import annotations
 
 from repro.core.config import FIGURE6_CONFIGS
-from repro.models.inventory import NETWORKS, get_network, table3_convolution
 
 #: Square matrix sizes of the Figure 6 sweep.
 FIGURE6_SIZES = (64, 128, 256, 512, 1024, 2048)
@@ -23,32 +22,3 @@ NETWORK_ORDER = (
     "alexnet", "vgg16", "resnet18", "mobilenet_v1",
     "regnet_x_400mf", "efficientnet_b0",
 )
-
-
-def square_gemm_sweep():
-    """(size, (bw_a, bw_b)) pairs of the Figure 6 sweep."""
-    for size in FIGURE6_SIZES:
-        for pair in FIGURE6_CONFIG_PAIRS:
-            yield size, pair
-
-
-def all_networks():
-    """The six evaluated CNN inventories, in paper order."""
-    return [get_network(name) for name in NETWORK_ORDER]
-
-
-def conv_microbenchmark():
-    """Table III's convolution benchmark layer."""
-    return table3_convolution()
-
-
-def network_names():
-    return list(NETWORK_ORDER)
-
-
-def assert_registry_consistent() -> None:
-    """Guard: workload order must cover exactly the registry."""
-    if set(NETWORK_ORDER) != set(NETWORKS):
-        raise RuntimeError(
-            "workload order out of sync with the model registry"
-        )

@@ -41,8 +41,6 @@ from .observers import (
     PAPER_CALIBRATION_BATCHES,
     PAPER_PERCENTILE,
     PercentileObserver,
-    paper_activation_observer,
-    paper_weight_observer,
 )
 
 __all__ = [
@@ -68,8 +66,6 @@ __all__ = [
     "PAPER_CALIBRATION_BATCHES",
     "PAPER_PERCENTILE",
     "PercentileObserver",
-    "paper_activation_observer",
-    "paper_weight_observer",
     "LOW_PRECISION_WEIGHT_DECAY",
     "PAPER_RECIPES",
     "QatRecipe",

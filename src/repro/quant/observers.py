@@ -240,18 +240,3 @@ class KlDivergenceObserver(Observer):
             -threshold, threshold, self.bits,
             signed=self.signed, symmetric=True, axis=None,
         )
-
-
-def paper_weight_observer(bits: int, channel_axis: int = 0) -> AbsMaxObserver:
-    """The paper's weight calibration: per-channel signed absmax."""
-    return AbsMaxObserver(bits, signed=True, axis=channel_axis)
-
-
-def paper_activation_observer(bits: int, *,
-                              signed: bool = False) -> PercentileObserver:
-    """The paper's activation calibration: per-tensor 99.999 percentile.
-
-    Activations after ReLU are unsigned; pass ``signed=True`` for layers
-    fed by signed inputs (e.g. the network input after normalization).
-    """
-    return PercentileObserver(bits, signed=signed)

@@ -25,17 +25,22 @@ from typing import Optional
 
 import numpy as np
 
-from repro.nn.autograd import Tensor
 from repro.nn.data import Dataset
 from repro.nn.layers import Module, QuantConv2d, QuantLinear
 
 from .bias_correction import (
+    apply_bias_correction,
     bias_correction_conv,
     bias_correction_linear,
     weight_quantization_error,
 )
 from .observers import PAPER_CALIBRATION_BATCHES
-from .qat import calibrate_activations, evaluate, quant_layers
+from .qat import (
+    calibrate_activations,
+    evaluate,
+    observe_layer_inputs,
+    quant_layers,
+)
 
 
 @dataclass
@@ -46,42 +51,6 @@ class PtqReport:
     accuracy: float
     calibrated_layers: int
     bias_corrected_layers: int
-
-
-def _capture_layer_inputs(
-    model: Module, dataset: Dataset, *, batch_size: int, batches: int,
-) -> dict[int, np.ndarray]:
-    """Record one calibration batch of inputs per quant layer."""
-    layers = quant_layers(model)
-    captured: dict[int, list[np.ndarray]] = {id(l): [] for l in layers}
-    hooked = []
-    for layer in layers:
-        original = layer._quant_input
-
-        def make_hook(layer=layer, original=original):
-            def hook(x):
-                if len(captured[id(layer)]) < batches:
-                    captured[id(layer)].append(x.data.copy())
-                return original(x)
-            return hook
-
-        layer._quant_input = make_hook()
-        hooked.append((layer, original))
-    model.eval()
-    try:
-        seen = 0
-        for images, _ in dataset.batches(batch_size):
-            model(Tensor(images))
-            seen += 1
-            if seen >= batches:
-                break
-    finally:
-        for layer, original in hooked:
-            layer._quant_input = original
-    return {
-        key: np.concatenate(chunks, axis=0)
-        for key, chunks in captured.items() if chunks
-    }
 
 
 def apply_bias_correction_to_model(
@@ -97,8 +66,17 @@ def apply_bias_correction_to_model(
     from repro.nn.functional_quant import weight_absmax_scale
     from .affine import QuantParams
 
-    inputs = _capture_layer_inputs(model, dataset, batch_size=batch_size,
-                                   batches=batches)
+    captured: dict[int, list[np.ndarray]] = {
+        id(layer): [] for layer in quant_layers(model)}
+
+    def capture(layer: Module, x: np.ndarray) -> None:
+        if len(captured[id(layer)]) < batches:
+            captured[id(layer)].append(x.copy())
+
+    observe_layer_inputs(model, dataset, capture,
+                         batch_size=batch_size, batches=batches)
+    inputs = {key: np.concatenate(chunks, axis=0)
+              for key, chunks in captured.items() if chunks}
     corrected = 0
     for layer in quant_layers(model):
         if layer.spec.weight_bits is None or layer.bias is None:
@@ -116,9 +94,8 @@ def apply_bias_correction_to_model(
             correction = bias_correction_linear(w, qp, x)
         else:  # pragma: no cover - registry guarded
             continue
-        if clip is not None:
-            correction = np.clip(correction, -clip, clip)
-        layer.bias.data = layer.bias.data - correction
+        layer.bias.data = apply_bias_correction(layer.bias.data,
+                                                correction, clip=clip)
         corrected += 1
     return corrected
 

@@ -121,6 +121,47 @@ def set_model_bits(
             layer.act_log_scale = init_log_scale(0.1)
 
 
+def observe_layer_inputs(
+    model: Module,
+    dataset: Dataset,
+    on_input: Callable[[Module, np.ndarray], None],
+    *,
+    batch_size: int,
+    batches: int,
+) -> None:
+    """Run up to ``batches`` calibration batches through ``model`` in
+    eval mode, calling ``on_input(layer, x)`` with each quant layer's
+    input array before the layer quantizes it.
+
+    Every quant layer's ``_quant_input`` is hooked for the run and
+    restored afterwards, also when the forward raises.
+    """
+    hooked: list[tuple[Module, Callable]] = []
+    for layer in quant_layers(model):
+        original = layer._quant_input
+
+        def make_hook(layer=layer, original=original):
+            def hook(x):
+                on_input(layer, x.data)
+                return original(x)
+            return hook
+
+        layer._quant_input = make_hook()
+        hooked.append((layer, original))
+
+    model.eval()
+    try:
+        seen = 0
+        for images, _ in dataset.batches(batch_size):
+            model(Tensor(images))
+            seen += 1
+            if seen >= batches:
+                break
+    finally:
+        for layer, original in hooked:
+            layer._quant_input = original
+
+
 def calibrate_activations(
     model: Module,
     dataset: Dataset,
@@ -142,32 +183,11 @@ def calibrate_activations(
         )
         for layer in layers
     }
-
-    hooked: list[tuple[Module, Callable]] = []
-    for layer in layers:
-        original = layer._quant_input
-
-        def make_hook(layer=layer, original=original):
-            def hook(x):
-                observers[id(layer)].observe(x.data)
-                return original(x)
-            return hook
-
-        layer._quant_input = make_hook()
-        hooked.append((layer, original))
-
-    model.eval()
-    try:
-        seen = 0
-        for images, _ in dataset.batches(batch_size):
-            model(Tensor(images))
-            seen += 1
-            if seen >= batches:
-                break
-    finally:
-        for layer, original in hooked:
-            layer._quant_input = original
-
+    observe_layer_inputs(
+        model, dataset,
+        lambda layer, x: observers[id(layer)].observe(x),
+        batch_size=batch_size, batches=batches,
+    )
     for layer in layers:
         if layer.spec.act_bits is None:
             continue

@@ -51,7 +51,6 @@ from .recovery import (
     BreakerPolicy,
     FaultEvent,
     RecoveryPolicy,
-    ReliabilityStats,
     ShadowVerifier,
 )
 
@@ -84,6 +83,5 @@ __all__ = [
     "BreakerPolicy",
     "FaultEvent",
     "RecoveryPolicy",
-    "ReliabilityStats",
     "ShadowVerifier",
 ]

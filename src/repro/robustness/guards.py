@@ -33,6 +33,7 @@ a given model.
 
 from __future__ import annotations
 
+import itertools
 import time
 import zlib
 from dataclasses import dataclass
@@ -84,12 +85,8 @@ def checksum_words(words) -> int:
 
 def packed_checksum(packed: PackedMatrix) -> int:
     """Digest of every word of a packed operand, k-run order."""
-    h = _FNV_OFFSET
-    for kv in packed.kvectors:
-        for w in kv.words:
-            h ^= w & _WORD_MASK
-            h = (h * _FNV_PRIME) & _WORD_MASK
-    return h
+    return checksum_words(
+        itertools.chain.from_iterable(kv.words for kv in packed.kvectors))
 
 
 def accumulator_bound(k: int, config: MixGemmConfig) -> int:

@@ -25,7 +25,7 @@ doubles as a reliability report.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -120,20 +120,3 @@ class ShadowVerifier:
         if not ok:
             self.mismatched += 1
         return ok
-
-
-@dataclass
-class ReliabilityStats:
-    """Aggregated view of a run's fault events (convenience for reports)."""
-
-    events: list[FaultEvent] = field(default_factory=list)
-
-    @property
-    def detections(self) -> int:
-        return len(self.events)
-
-    def by_guard(self) -> dict[str, int]:
-        counts: dict[str, int] = {}
-        for e in self.events:
-            counts[e.detected_by] = counts.get(e.detected_by, 0) + 1
-        return counts

@@ -36,9 +36,8 @@ weights once per deployment and keeps the hot loop pure arithmetic;
   bias, folded-BN ``scale``/``shift``) are tiled once to one sample's
   ``oh*ow*Cout`` channels-last width, so the epilogue runs on wide
   ``(N, oh*ow*Cout)`` rows instead of broadcasting over ``Cout``-long
-  inner loops.  A ``batchnorm2d`` left unfused (every one in an
-  unfused plan) does the same on a channels-last input, one image row
-  wide;
+  inner loops.  A ``batchnorm2d`` left unfused keeps the ``(1, C, 1,
+  1)`` broadcast of :func:`~repro.runtime.ops.apply_batchnorm`;
 * every step that produces a fresh output array (all but ``identity``
   and ``flatten``, which may return their input) finishes it in place:
   no epilogue entry allocates;
@@ -70,7 +69,8 @@ and with the message, an unfused plan gives -- an inf batchnorm shift
 is caught at the batchnorm, before a relu turns ``-inf`` into 0.  It
 skips the finiteness scan (and keeps the range observation) at nodes
 that cannot be the first to fail: ops that map finite inputs to finite
-outputs (``_FINITE_OPS``) and do not read the raw graph input.
+outputs (``_FINITE_OPS``).  The raw graph input is checked once, before
+the first step, so every node reads fenced values.
 
 Each quantized step then binds a :class:`_GuardedGemm` in place of the
 bound one: per call it announces the layer to the fault injector, runs
@@ -388,14 +388,18 @@ class _BoundGemm:
             return self._logged(res.c, m, res.cycles - before, result)
         return self._logged(self.kernel(a), m, self._fast_cycles(m), result)
 
-    def sum_taps(self, views: list[np.ndarray], taps: list[np.ndarray],
-                 act: np.ndarray, result: InferenceResult) -> np.ndarray:
+    def sum_taps(self, views: list[np.ndarray], act: np.ndarray,
+                 result: InferenceResult) -> np.ndarray:
         """``C`` of the GEMM whose A rows are ``views`` side by side:
-        ``sum(views[i] @ taps[i])``, where ``taps`` split :attr:`block`
-        into row ranges.  ``act`` holds exactly A's values; the call is
-        observed and logged as the one ``(m, n, k)`` GEMM it replaces.
+        ``sum(views[i] @ taps[i])``, where ``taps`` are :attr:`block`'s
+        ``len(views)`` equal row ranges, sliced on each call.  ``act``
+        holds exactly A's values; the call is observed and logged as the
+        one ``(m, n, k)`` GEMM it replaces.
         """
         observe_range(self.label, "act", act)
+        block = self.kernel.blocks[0][1]
+        rows = block.shape[0] // len(views)
+        taps = [block[i * rows:(i + 1) * rows] for i in range(len(views))]
         c = np.matmul(views[0], taps[0])
         if len(views) > 1:
             part = np.empty_like(c)
@@ -743,42 +747,6 @@ class _GenericStep(_Step):
 _VIEW_OPS = frozenset({"identity", "flatten"})
 
 
-class _BatchNormStep(_GenericStep):
-    """A ``batchnorm2d`` the plan did not fold into a conv.
-
-    An input that is channels-last in memory -- every conv output is --
-    runs on its ``(N*H, W*C)`` view, one image row per row, against
-    ``scale``/``shift`` tiled to ``W*C``: the wide-row treatment fused
-    conv epilogues get (see :class:`_ConvStep`), with the same multiply
-    and add per element.  One image row already gives numpy's inner
-    loop ``W*C`` elements instead of ``C``, and its tiles cost ``H``
-    times less memory than a whole sample's would, with every unfused
-    batchnorm keeping its own.  The tiles are built once per input
-    shape and kept in ``_tiles``.  Any other input keeps the
-    ``(1, C, 1, 1)`` broadcast.  The output is channels-last either
-    way: the broadcast's fresh array follows its input's memory order.
-    """
-
-    def __init__(self, node: NodeSpec, label: str,
-                 input_ids: list[str]) -> None:
-        super().__init__(node, label, input_ids)
-        self._tiles: dict[tuple[int, ...], _BnEpilogue] = {}
-
-    def __call__(self, arrays: list[np.ndarray],
-                 result: InferenceResult) -> np.ndarray:
-        x = arrays[0]
-        if x.ndim != 4 or not x.transpose(0, 2, 3, 1).flags.c_contiguous:
-            return super().__call__(arrays, result)
-        nhwc = x.transpose(0, 2, 3, 1)
-        bn = self._tiles.get(x.shape)
-        if bn is None:
-            bn = self._tiles[x.shape] = self._fn.tiled(x.shape[3])
-        rows = x.shape[0] * x.shape[2]
-        out = np.empty(nhwc.shape)
-        bn(nhwc.reshape(rows, -1), out=out.reshape(rows, -1))
-        return self._finish_in_place(out.transpose(0, 3, 1, 2))
-
-
 class _ConvLowering:
     """Per-input-shape conv lowering: a channels-last zero-halo buffer.
 
@@ -818,8 +786,7 @@ class _ConvLowering:
     the ``oh*ow*Cout`` width of one sample's channels-last output:
     ``out_scale`` (dequantization, ``None`` for a float conv), ``bias``
     and ``epilogue`` (the step's epilogue with every folded batchnorm
-    tiled).  A kernel-row lowering's ``taps`` are the per-tap row views
-    of the step's one B block.
+    tiled).
     """
 
     def __init__(self, x_shape: tuple[int, ...], kh: int, kw: int,
@@ -838,8 +805,6 @@ class _ConvLowering:
         self.out_scale: Optional[np.ndarray] = None
         self.bias: Optional[np.ndarray] = None
         self.epilogue: list = []
-        self.taps: Optional[list[np.ndarray]] = None
-        self._tap_block: Optional[np.ndarray] = None
         if direct:
             self._buf = np.zeros((n, self.out_h, self.out_w, c),
                                  dtype=dtype)
@@ -901,19 +866,6 @@ class _ConvLowering:
             return [panel[i * ow:i * ow + self.m] for i in range(self.kh)]
         length = self.out_h * ow
         return [panel[:, i * ow:i * ow + length] for i in range(self.kh)]
-
-    def taps_of(self, block: np.ndarray) -> list[np.ndarray]:
-        """``block``'s ``KH`` row ranges of ``KW*C`` rows, tap ``kh``'s
-        B operand, as views.  Cut once and kept in :attr:`taps` until
-        the GEMM holds another block (a plan export rebinds it), so the
-        kernel's ``blocks`` stay the only place the weights live.
-        """
-        if self._tap_block is not block:
-            rows = block.shape[0] // self.kh
-            self.taps = [block[i * rows:(i + 1) * rows]
-                         for i in range(self.kh)]
-            self._tap_block = block
-        return self.taps
 
 
 class _QuantGemmBinder:
@@ -1125,10 +1077,8 @@ class _ConvStep(_Step):
         else:
             low.interior[...] = x
         if low.kernel_rows:
-            gemm = self.gemms[0]
             panel = low.panel()
-            acc = gemm.sum_taps(low.tap_views(panel),
-                                low.taps_of(gemm.block), panel, result)
+            acc = self.gemms[0].sum_taps(low.tap_views(panel), panel, result)
             del panel  # freed before the float64 output is allocated
             y = acc.astype(np.float64)
         else:
@@ -1214,8 +1164,9 @@ class _NodeFence:
     range tap (which stays off while a fault injector is armed).
 
     ``unfenced`` names the nodes whose fence cannot be the first to
-    fire -- a finite-preserving op (``_FINITE_OPS``) fed only by fenced
-    nodes -- so only their range is observed.
+    fire -- the finite-preserving ops (``_FINITE_OPS``), whose inputs
+    are fenced nodes or the graph input that :meth:`GraphPlan.run`
+    fences first -- so only their range is observed.
     """
 
     def __init__(self, observe: bool, unfenced: frozenset[str]) -> None:
@@ -1241,7 +1192,9 @@ class GraphPlan:
     ``run`` drops each value once its last consumer has run
     (``_drops``, fixed here from the steps' wiring), so a step's output
     is freed as early as the graph allows; the input and the graph
-    output are never dropped.
+    output are never dropped.  A guarded plan (its tap a
+    :class:`_NodeFence`) checks the input for NaN/Inf once, before the
+    first step, without observing its range.
     """
 
     def __init__(self, graph: Optional[GraphModel], steps: list[_Step],
@@ -1253,6 +1206,7 @@ class GraphPlan:
         self.info = info
         self.pack_cache = pack_cache
         self._tap = tap
+        self._fence_input = isinstance(tap, _NodeFence)
         self._drops = _last_uses(steps)
 
     def release_source(self) -> None:
@@ -1270,6 +1224,8 @@ class GraphPlan:
         """Execute the plan on a batch; NCHW for conv models."""
         result = InferenceResult(output=np.asarray(x, dtype=np.float64),
                                  guard_level=self.info.guard_level)
+        if self._fence_input:
+            check_finite("input", result.output)
         values: dict[str, np.ndarray] = {"input": result.output}
         label = "input"
         tap = self._tap
@@ -1366,7 +1322,7 @@ _BINARY_OPS = frozenset({"add", "channel_scale"})
 _FUSABLE_ACTS = frozenset({"relu", "relu6"})
 
 #: Ops whose output is finite whenever their input is: the NaN/Inf
-#: fence after one is skipped unless it reads the raw graph input.
+#: fence after one is skipped.
 _FINITE_OPS = frozenset({"relu", "relu6", "max_pool2d", "flatten",
                          "identity"})
 
@@ -1437,8 +1393,6 @@ def _compile(graph: GraphModel, backend: str, gemm_backend: str,
             steps.append(_ConvStep(node, label, eff, binder))
         elif node.op == "quant_linear":
             steps.append(_QuantLinearStep(node, label, eff, binder))
-        elif node.op == "batchnorm2d":
-            steps.append(_BatchNormStep(node, label, eff))
         else:
             steps.append(_GenericStep(node, label, eff))
 
@@ -1453,8 +1407,8 @@ def _compile(graph: GraphModel, backend: str, gemm_backend: str,
                                         or guards.injector is None)
     if guards is not None and guards.rank >= 1:
         tap = _NodeFence(observe, frozenset(
-            label for node, label, eff in zip(graph, labels, inputs_of)
-            if node.op in _FINITE_OPS and "input" not in eff))
+            label for node, label in zip(graph, labels)
+            if node.op in _FINITE_OPS))
     else:
         tap = _observe_out if observe else None
     for step in steps:
@@ -1717,14 +1671,11 @@ def export_plan(plan: GraphPlan) -> SharedPlan:
             view.flags.writeable = False
             setter(view)
             specs.append(spec)
-        # Cached lowerings and batchnorm tiles hold tiled copies of the
-        # private originals; dropping them makes the next call re-tile
-        # from the segment.
+        # Cached lowerings hold tiled copies of the private originals;
+        # dropping them makes the next call re-tile from the segment.
         for step in plan.steps:
             if isinstance(step, _ConvStep):
                 step._lowerings.clear()
-            elif isinstance(step, _BatchNormStep):
-                step._tiles.clear()
         handle = SharedPlanHandle(
             segment=shm.name, arrays=tuple(specs), total_bytes=total,
             graph_json=plan.graph.to_json(),

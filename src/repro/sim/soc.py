@@ -3,8 +3,8 @@
 Ties the individual models together into the evaluated system (Figure 8):
 the RV64 core with its u-engine, the cache hierarchy, and the derived
 figures the paper reports at SoC level -- including the Section IV-B
-cache-shrinking study and the Section III-B multi-core / wider-SIMD
-scalability projections.
+cache-shrinking study.  The Section III-B multi-core / wider-SIMD
+projection lives in :mod:`repro.sim.scalability`.
 """
 
 from __future__ import annotations
@@ -92,24 +92,3 @@ def cache_sensitivity(
                 ratios.append(cycles / ref_cycles[(dims, cfg.name)])
         out[(l1, l2)] = sum(ratios) / len(ratios) - 1.0
     return out
-
-
-@dataclass(frozen=True)
-class ScalabilityProjection:
-    """Section III-B scalability estimates (multi-core / wider SIMD)."""
-
-    cores: int = 1
-    simd_multipliers: int = 1
-    #: Per-core efficiency retention for the threaded BLIS (refs [67],
-    #: [73] report near-linear scaling for many-threaded BLIS).
-    thread_efficiency: float = 0.95
-
-    def throughput_scale(self) -> float:
-        """Projected throughput multiplier over the single-core engine."""
-        return self.cores * self.thread_efficiency ** (self.cores > 1) \
-            * self.simd_multipliers
-
-    def area_overhead_scale(self) -> float:
-        """u-engine area grows with cores and with multiplier lanes
-        (Source Buffers and DSU/DCU widen with the SIMD datapath)."""
-        return self.cores * self.simd_multipliers

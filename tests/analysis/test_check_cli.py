@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.analysis.contracts.graph import load_graph_file
 from repro.cli import build_parser, main
 from repro.robustness.faults import demo_graph
 from repro.runtime.graph import GraphModel, NodeSpec
@@ -134,6 +135,24 @@ class TestCheckCommand:
         path.write_text("]")
         assert main(["check", "--graph", str(path)]) == 1
         assert "GRF-PARSE" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("content", ["]", '{"nodes": 3}', None])
+    def test_every_pass_reports_one_grf_parse(self, tmp_path, capsys,
+                                              content):
+        """``--graph``, ``--ranges`` and ``--cost`` load model files
+        through one loader, so a corrupt (or missing) file yields the
+        same single diagnostic from each."""
+        path = tmp_path / "corrupt.json"
+        if content is not None:
+            path.write_text(content)
+        _, want = load_graph_file(str(path))
+        outputs = []
+        for flag in ("--graph", "--ranges", "--cost"):
+            assert main(["check", flag, str(path),
+                         "--format", "json"]) == 1
+            outputs.append(json.loads(capsys.readouterr().out))
+        assert outputs[0]["diagnostics"] == [want.to_json()]
+        assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
 
 
 class TestExitCodeConsistency:

@@ -21,10 +21,8 @@ from repro.eval.workloads import (
     FIGURE6_CONFIG_PAIRS,
     FIGURE6_SIZES,
     NETWORK_ORDER,
-    assert_registry_consistent,
-    conv_microbenchmark,
-    square_gemm_sweep,
 )
+from repro.models.inventory import NETWORKS, table3_convolution
 
 
 @pytest.fixture(scope="module")
@@ -181,12 +179,12 @@ class TestTables:
 
 class TestWorkloads:
     def test_sweep_size(self):
-        assert len(list(square_gemm_sweep())) == \
+        assert len(figure6()) == \
             len(FIGURE6_SIZES) * len(FIGURE6_CONFIG_PAIRS)
 
     def test_conv_microbenchmark(self):
-        conv = conv_microbenchmark()
+        conv = table3_convolution()
         assert conv.gemm_dims == (256, 288, 64)
 
     def test_registry_consistent(self):
-        assert_registry_consistent()
+        assert set(NETWORK_ORDER) == set(NETWORKS)

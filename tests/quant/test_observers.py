@@ -3,13 +3,12 @@
 import numpy as np
 import pytest
 
+from repro.nn.functional_quant import weight_absmax_scale
 from repro.quant.affine import QuantError, quantize
 from repro.quant.observers import (
     AbsMaxObserver,
     MinMaxObserver,
     PercentileObserver,
-    paper_activation_observer,
-    paper_weight_observer,
 )
 
 
@@ -92,13 +91,19 @@ class TestPercentileObserver:
 
 
 class TestPaperPresets:
+    """The paper's calibration rules, where every runtime path reads them."""
+
     def test_weight_observer_is_per_channel_signed(self):
-        obs = paper_weight_observer(4)
-        assert obs.signed
-        assert obs.axis == 0
+        # One scale per output channel, from the signed 4-bit grid's
+        # qmax of 7: the rule weight_absmax_scale implements.
+        w = np.random.default_rng(0).standard_normal((3, 2, 3, 3))
+        scale = weight_absmax_scale(w, 4)
+        assert scale.shape == (3,)
+        assert np.allclose(scale, np.abs(w).reshape(3, -1).max(axis=1) / 7)
 
     def test_activation_observer_defaults(self):
-        obs = paper_activation_observer(4)
+        # calibrate_activations builds this observer per layer.
+        obs = PercentileObserver(4)
         assert not obs.signed
         assert obs.axis is None
         assert obs.percentile == 99.999

@@ -26,9 +26,7 @@ from repro.robustness.faults import (
     demo_input,
 )
 from repro.robustness.recovery import (
-    FaultEvent,
     RecoveryPolicy,
-    ReliabilityStats,
     ShadowVerifier,
 )
 from repro.runtime.engine import InferenceEngine
@@ -116,17 +114,6 @@ class TestShadowVerifier:
         assert not shadow.matches(ref + 1, ref)
         assert shadow.checked == 2
         assert shadow.mismatched == 1
-
-
-class TestReliabilityStats:
-    def test_by_guard_counts(self):
-        stats = ReliabilityStats(events=[
-            FaultEvent("n0", "quant_linear", "checksum", "retried"),
-            FaultEvent("n1", "quant_conv2d", "checksum", "fallback"),
-            FaultEvent("n2", "quant_conv2d", "shadow", "retried"),
-        ])
-        assert stats.detections == 3
-        assert stats.by_guard() == {"checksum": 2, "shadow": 1}
 
 
 class TestEngineConstruction:

@@ -4,11 +4,12 @@ An armed :class:`InferenceEngine` compiles the fused plan and relies on
 each fused step to report every node it absorbed to the NaN/Inf fence.
 These tests hold it to the unfused plan (``_compile(..., fuse=False,
 guards=...)``), where every node is its own step, with faults planted
-where fusion could hide them: a NaN in the input, an inf conv output
-and a batchnorm shift of ``-inf`` that the following relu would turn
-into 0.  Both sides must agree on the ``GuardError`` (label and
-message) or on the output bytes, ``LayerStats``, fault events,
-recovered layers, warnings and every observed range.
+where fusion could hide them: a NaN in the input (caught by the fence
+on the raw input, before the first step), an inf conv output and a
+batchnorm shift of ``-inf`` that the following relu would turn into 0.
+Both sides must agree on the ``GuardError`` (label and message) or on
+the output bytes, ``LayerStats``, fault events, recovered layers,
+warnings and every observed range.
 """
 
 import copy
@@ -66,7 +67,7 @@ def _plant(graph, x, plant):
     if plant == "nan_input":
         x = x.copy()
         x[0, 0, x.shape[2] // 2, x.shape[3] // 2] = np.nan
-        return x, labels[0]
+        return x, "input"
     if plant == "inf_conv":
         i, node = next((i, n) for i, n in enumerate(graph)
                        if n.op in ("quant_conv2d", "conv2d"))
@@ -89,9 +90,10 @@ def _plant(graph, x, plant):
     raise AssertionError(plant)
 
 
-def _outcome(engine_cls, graph, x, level, fault_plan=None):
+def _outcome(engine_cls, graph, x, level, fault_plan=None,
+             backend="mixgemm"):
     """Everything observable about one guarded run."""
-    engine = engine_cls(graph, backend="mixgemm", guard_level=level,
+    engine = engine_cls(graph, backend=backend, guard_level=level,
                         fault_plan=fault_plan)
     with observing_ranges() as trace, \
             warnings.catch_warnings(record=True) as caught:
@@ -116,14 +118,16 @@ def _outcome(engine_cls, graph, x, level, fault_plan=None):
     return engine.plan, run, ranges, warned
 
 
-def _check(graph_factory, x, level, plant=None, fault_plan=None):
+def _check(graph_factory, x, level, plant=None, fault_plan=None,
+           backend="mixgemm"):
     """Run both plans on fresh graphs; return the fused side's run, the
     planted fault's node and the warnings the run raised."""
     sides = []
     for engine_cls in (InferenceEngine, _UnfusedEngine):
         graph = graph_factory()
         xs, tripped = (x, None) if plant is None else _plant(graph, x, plant)
-        sides.append(_outcome(engine_cls, graph, xs, level, fault_plan))
+        sides.append(_outcome(engine_cls, graph, xs, level, fault_plan,
+                              backend))
     (fused_plan, fused, f_ranges, f_warned), \
         (unfused_plan, unfused, u_ranges, u_warned) = sides
     assert fused_plan.info.fuse and not unfused_plan.info.fuse
@@ -149,14 +153,28 @@ class TestDemoGraph:
     @pytest.mark.parametrize("plant", ["nan_input", "inf_conv"])
     def test_planted_fault(self, level, plant):
         run, tripped, _ = _check(demo_graph, demo_input(), level, plant)
-        if plant == "inf_conv" or level == "light":
-            assert run == ("error", "finite",
-                           f"non-finite values after node {tripped!r}")
-        else:
-            # The event-backend GEMMs of standard and full guards take
-            # int64 codes, and a NaN cast to int64 fails the packer's
-            # range check before any fence runs.
-            assert run[:2] == ("raised", "BinSegError")
+        assert run == ("error", "finite",
+                       f"non-finite values after node {tripped!r}")
+
+    @pytest.mark.parametrize("level", _LEVELS)
+    @pytest.mark.parametrize("backend", ["numpy", "mixgemm"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_is_fenced(self, level, backend, bad):
+        # Unfenced, the first quantizer clips an infinity to qmax and a
+        # NaN casts to garbage codes: the run would finish on a finite,
+        # wrong output.
+        x = demo_input().copy()
+        x[0, 0, 1, 2] = bad
+        run, _, _ = _check(demo_graph, x, level, backend=backend)
+        assert run == ("error", "finite",
+                       "non-finite values after node 'input'")
+
+    def test_unguarded_plan_keeps_no_input_fence(self):
+        x = demo_input().copy()
+        x[0, 0, 1, 2] = np.inf
+        engine = InferenceEngine(demo_graph(), backend="numpy")
+        assert not engine.plan._fence_input
+        assert np.isfinite(engine.run(x).output).all()
 
     @pytest.mark.parametrize("level", ["light", "full"])
     @pytest.mark.parametrize("site", FAULT_SITES)
@@ -166,7 +184,7 @@ class TestDemoGraph:
 
 
 class TestSkippedFences:
-    """Only finite-preserving ops fed by fenced nodes go unscanned."""
+    """Finite-preserving ops go unscanned: their inputs are fenced."""
 
     def test_unfenced_nodes_of_the_demo_graph(self):
         plan = InferenceEngine(demo_graph(), backend="mixgemm",
@@ -187,14 +205,16 @@ class TestSkippedFences:
             b.add(NodeSpec(op="relu", id="tail"), inputs=["head"])
             return b.build()
 
+        # The raw input is fenced once, ahead of every step, so the
+        # finite op that reads it needs no scan of its own.
         plan = InferenceEngine(graph(), backend="mixgemm",
                                guard_level="light").plan
-        assert plan._tap.unfenced == frozenset({"tail"})
+        assert plan._tap.unfenced == frozenset({"head", "tail"})
         x = np.ones((1, 2, 4, 4))
         x[0, 1, 2, 3] = np.nan
         run, _, _ = _check(graph, x, "light")
         assert run == ("error", "finite",
-                       "non-finite values after node 'head'")
+                       "non-finite values after node 'input'")
 
 
 class TestResnet18:

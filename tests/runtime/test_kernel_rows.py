@@ -73,8 +73,7 @@ def _check_against_oracles(graph, batches, **kwargs):
         got = fast.run(x)
         assert got.output.tobytes() == ref.run(x).output.tobytes()
         assert _stats(got) == _stats(event.run(x))
-    assert all(low.kernel_rows and low.taps is not None
-               for low in _lowerings(fast))
+    assert all(low.kernel_rows for low in _lowerings(fast))
     assert verify_plan(fast) == []
 
 
@@ -99,8 +98,7 @@ def test_kernel_rows_match_oracles_sweep(kernel, padding, bits, signed):
 def _rows_only(plan, x):
     plan.run(x)
     lows = _lowerings(plan)
-    assert lows and not any(low.kernel_rows or low.taps is not None
-                            for low in lows)
+    assert lows and not any(low.kernel_rows for low in lows)
     assert not any(getattr(step, "kernel_rows", False)
                    for step in plan.steps)
 

@@ -88,9 +88,9 @@ class TestRoundTrip:
                 assert verify_plan(plan) == []
 
     def test_unfused_plan_warmed_before_export(self):
-        """An unfused plan caches wide batchnorm tiles and direct 1x1
-        lowerings; export drops both, and both sides serve the warm
-        plan's bytes with every constant on the segment."""
+        """An unfused plan caches direct 1x1 lowerings; export drops
+        them, and both sides serve the warm plan's bytes with every
+        constant on the segment."""
         seed_init(13)
         model = build_tiny("resnet18", act_bits=8, weight_bits=8)
         model.eval()
@@ -98,11 +98,9 @@ class TestRoundTrip:
         x = np.random.default_rng(5).standard_normal((3, 1, 12, 12))
         plan = _compile(resnet, fuse=False)
         want = plan.run(x)
-        assert any(getattr(s, "_tiles", None) for s in plan.steps)
         assert any(getattr(s, "direct", False) for s in plan.steps)
         with export_plan(plan) as shared:
-            assert not any(getattr(s, "_tiles", None)
-                           or getattr(s, "_lowerings", None)
+            assert not any(getattr(s, "_lowerings", None)
                            for s in plan.steps)
             with attach_plan(shared.handle) as attached:
                 for served, buf in ((plan, shared.buf),
@@ -110,8 +108,6 @@ class TestRoundTrip:
                     got = served.run(x)
                     assert got.output.tobytes() == want.output.tobytes()
                     assert _run_stats(got) == _run_stats(want)
-                    assert any(getattr(s, "_tiles", None)
-                               for s in served.steps)
                     assert plan_share_stats(served, buf)[
                         "plan_bytes_private"] == 0
                     assert verify_plan(served) == []
@@ -199,10 +195,10 @@ class TestZeroCopyDiscipline:
                         assert addr + arr.nbytes <= end
 
     def test_kernel_row_taps_rebuild_from_segment(self):
-        """A plan warmed before export cut its kernel-row tap slices
-        from private blocks; after export (and in an attached plan) the
-        next call cuts them from the segment, adds no private constant
-        bytes and serves the warm plan's bytes."""
+        """A kernel-row step slices its per-tap B operands from the
+        kernel's block on every call; after export (and in an attached
+        plan) that block lies on the segment, the call adds no private
+        constant bytes and serves the warm plan's bytes."""
         seed_init(13)
         model = build_tiny("resnet18", act_bits=8, weight_bits=8)
         model.eval()
@@ -222,15 +218,13 @@ class TestZeroCopyDiscipline:
                     assert plan_share_stats(served, buf) == before
                     assert before["plan_bytes_private"] == 0
                     start, end = _segment_span(buf)
-                    taps = [tap for step in served.steps
-                            for low in getattr(step, "_lowerings",
-                                               {}).values()
-                            if low.kernel_rows for tap in low.taps]
-                    assert taps
-                    for tap in taps:
-                        addr = int(tap.__array_interface__["data"][0])
+                    blocks = [step.gemms[0].block for step in served.steps
+                              if getattr(step, "kernel_rows", False)]
+                    assert blocks
+                    for block in blocks:
+                        addr = int(block.__array_interface__["data"][0])
                         assert start <= addr
-                        assert addr + tap.nbytes <= end
+                        assert addr + block.nbytes <= end
                     assert verify_plan(served) == []
 
     def test_exporter_rebinds_onto_segment(self, graph):

@@ -12,7 +12,6 @@ from repro.sim.params import (
 )
 from repro.sim.soc import (
     MixGemmSoc,
-    ScalabilityProjection,
     cache_sensitivity,
 )
 
@@ -109,19 +108,3 @@ class TestCacheSensitivity:
         l1_only = penalties[(16 * 1024, 512 * 1024)]
         both = penalties[(16 * 1024, 64 * 1024)]
         assert both >= l1_only - 0.01
-
-
-class TestScalability:
-    def test_multicore_projection(self):
-        p = ScalabilityProjection(cores=8)
-        assert 6.0 < p.throughput_scale() <= 8.0
-
-    def test_single_core_identity(self):
-        p = ScalabilityProjection()
-        assert p.throughput_scale() == 1.0
-        assert p.area_overhead_scale() == 1.0
-
-    def test_simd_widening(self):
-        p = ScalabilityProjection(simd_multipliers=2)
-        assert p.throughput_scale() == 2.0
-        assert p.area_overhead_scale() == 2.0
