@@ -42,7 +42,8 @@ or ``--smoke`` / ``--mode smoke`` for the CI gate.  Under pytest,
 ``test_serving_smoke`` runs the gate and writes ``results/serving.txt``
 and ``test_scaling_smoke`` runs the process-scaling gate.  Bit-exactness
 of the plans themselves is covered by the tier-1 tests and the slow
-plan sweep (``tests/runtime/test_plan.py -m slow``).
+rows of the plan differential matrix
+(``tests/runtime/test_plan_matrix.py -m slow``).
 """
 
 import argparse

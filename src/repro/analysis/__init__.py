@@ -84,8 +84,8 @@ from repro.analysis.ranges import (
 from repro.analysis.sarif import to_sarif, to_sarif_json
 
 #: Every rule id ``repro check`` can emit; the SARIF driver lists
-#: these.  Later registries must not clobber earlier ones -- shared ids
-#: (``GRF-PARSE``) keep their first registration.
+#: these.  Later registries must not clobber earlier ones: a shared id
+#: keeps its first registration.
 ALL_RULES: dict[str, str] = {}
 for _registry in (CONTRACT_RULES, LINT_RULES, CONC_RULES, RANGES_RULES,
                   COST_RULES):

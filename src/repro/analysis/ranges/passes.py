@@ -24,10 +24,10 @@ Rules:
   crosscheck (:mod:`.sanitizer`) when an observed value escapes its
   static interval (a soundness escape; must never happen).
 
-``GRF-PARSE`` is the graph contract pass's rule: every pass loads model
-files through :func:`~repro.analysis.contracts.graph.load_graph_file`,
-so a corrupt artifact is the same finding whichever pass trips over it
-first (the SARIF emitter deduplicates the shared metadata).
+``GRF-PARSE`` is the graph contract pass's rule, registered there only:
+every pass loads model files through
+:func:`~repro.analysis.contracts.graph.load_graph_file`, so a corrupt
+artifact is the same finding whichever pass trips over it first.
 
 Suppression: graph nodes have no source lines, so the ``# repro: noqa``
 convention maps to a node attribute -- ``"noqa": true`` suppresses every
@@ -58,8 +58,6 @@ RANGES_RULES: dict[str, str] = {
                    "proven ranges",
     "RANGE-OBSERVED": "runtime value escaped its static interval "
                       "(soundness violation)",
-    # The shared loader's finding (contracts.graph.load_graph_file).
-    "GRF-PARSE": "model file cannot be deserialized",
 }
 
 

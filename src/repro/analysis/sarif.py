@@ -52,8 +52,8 @@ def to_sarif(report: DiagnosticReport, *, tool_version: str = "") -> dict:
     """Render a report as a SARIF 2.1.0 log object (a plain dict).
 
     The driver lists every rule id the tool can emit once, from
-    :data:`repro.analysis.ALL_RULES` (where a rule two passes register,
-    ``GRF-PARSE``, keeps its first registration).
+    :data:`repro.analysis.ALL_RULES` (where a rule two passes register
+    keeps its first registration).
     """
     from repro.analysis import ALL_RULES
 

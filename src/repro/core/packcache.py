@@ -27,6 +27,13 @@ Capacity is bounded by an LRU policy.  Cached :class:`PackedMatrix`
 objects are deeply immutable (tuples of frozen ``KVector``), and fault
 hooks corrupt *copies* (``FaultInjector.on_pack`` returns new objects),
 so sharing one entry across calls and cores is safe.
+
+Eviction prefers activations: an ``A`` operand is a fresh activation
+matrix on nearly every call, a ``B`` operand a static weight panel that
+every call reuses.  Over capacity, the least recently used ``A`` entry
+goes first, and a ``B`` entry only when no ``A`` entry is left, so a
+graph whose weight panels fit keeps all of them warm however many
+activations pass through.
 """
 
 from __future__ import annotations
@@ -138,7 +145,9 @@ class PackingCache:
             self.stats.misses += 1
             self._entries[key] = packed
             if len(self._entries) > self._capacity:
-                self._entries.popitem(last=False)
+                victim = next((k for k in self._entries if k[0] == "A"),
+                              next(iter(self._entries)))
+                del self._entries[victim]
                 self.stats.evictions += 1
         return packed
 

@@ -35,7 +35,3 @@ def pareto_frontier(points: Sequence[ParetoPoint]) -> list[ParetoPoint]:
         if not any(dominates(q, p) for q in points if q is not p)
     ]
     return sorted(frontier, key=lambda p: (p.throughput, p.accuracy))
-
-
-def frontier_labels(points: Sequence[ParetoPoint]) -> list[str]:
-    return [p.label for p in pareto_frontier(points)]

@@ -91,10 +91,10 @@ training forward evaluates (shared kernels live in
 :meth:`~repro.core.gemm.MixGemm.gemm` runs (exact integers in a
 float32 container convert to the identical float64), and the
 BN/activation "fusion" hoists only *constant computation* -- the
-per-element float sequence is untouched.  ``tests/runtime/test_plan.py``
-asserts equality (outputs and per-layer cycles), never closeness, and
-``tests/runtime/test_interpreter_golden.py`` replays recorded reference
-runs -- outputs, cycles, fault events -- bit for bit.
+per-element float sequence is untouched.  The differential matrix in
+``tests/runtime/test_plan_matrix.py`` asserts equality, never
+closeness, and ``tests/runtime/test_interpreter_golden.py`` replays
+recorded reference runs -- outputs, cycles, fault events -- bit for bit.
 
 Plans hold per-call scratch state (lowering buffers, bound executors)
 and are therefore **not** thread-safe; the batched server in

@@ -222,8 +222,9 @@ class TestRuleDedup:
     def test_shared_grf_parse_registered_once(self):
         from repro.analysis.contracts import CONTRACT_RULES
         from repro.analysis.ranges import RANGES_RULES
+        # Only the shared loader (contracts.graph) emits it.
         assert "GRF-PARSE" in CONTRACT_RULES
-        assert "GRF-PARSE" in RANGES_RULES
+        assert "GRF-PARSE" not in RANGES_RULES
         report = DiagnosticReport()
         report.add(Diagnostic(rule="GRF-PARSE", severity="error",
                               message="m", path="a.json"))

@@ -3,22 +3,19 @@
 ``_ActQuantizer`` drops :func:`repro.quant.affine.quantize`'s
 zero-point add (every plan quantizer has zero-point 0) and rounds with
 ``np.rint``.  The add only turned an exact -0.0 quotient into +0.0, so
-the integer codes must stay equal, and a plan fed -0.0 inputs must stay
-byte-identical to the numpy-backend plan, whose int64 codes carry no
-sign of zero.  The inputs below hit each place a wrong rounding or a
-wrong clip would show: signed zeros, exact half-way ties and values
-beyond both ends of the code range.
+the integer codes must stay equal.  The inputs below hit each place a
+wrong rounding or a wrong clip would show: signed zeros, exact half-way
+ties and values beyond both ends of the code range.  That a plan fed
+-0.0 inputs stays byte-identical to the numpy-backend plan, whose int64
+codes carry no sign of zero, is a row of ``test_plan_matrix.py``.
 """
 
 import numpy as np
 import pytest
 
 from repro.core.binseg import value_range
-from repro.models.builders import build_tiny
-from repro.nn.layers import seed_init
 from repro.quant.affine import QuantParams, quantize
-from repro.runtime.export_modules import export_model
-from repro.runtime.plan import _ActQuantizer, compile_graph
+from repro.runtime.plan import _ActQuantizer
 
 _BITS = [2, 4, 8]
 #: A power of two keeps ``(k + 0.5) * scale / scale`` an exact tie; the
@@ -71,37 +68,3 @@ def test_nonzero_zero_point_rejected():
     qp = QuantParams(scale=0.1, zero_point=3.0, bits=8, signed=False)
     with pytest.raises(ValueError, match="zero-point 0"):
         _ActQuantizer(qp, np.int64)
-
-
-@pytest.fixture(scope="module")
-def resnet_graph():
-    seed_init(13)
-    model = build_tiny("resnet18", act_bits=8, weight_bits=8)
-    model.eval()
-    return export_model(model, name="resnet18")
-
-
-def _salted_batch(shape, seed=3):
-    """A batch where about a fifth of the pixels are -0.0."""
-    rng = np.random.default_rng(seed)
-    x = rng.standard_normal(shape)
-    x[rng.random(shape) < 0.2] = -0.0
-    return x
-
-
-@pytest.mark.parametrize("fuse", [True, False], ids=["fused", "unfused"])
-@pytest.mark.parametrize("batch", [1, 8])
-def test_plan_bytes_equal_numpy_plan_on_negative_zeros(resnet_graph, fuse,
-                                                       batch):
-    x = _salted_batch((batch, 1, 12, 12))
-    assert np.signbit(x[x == 0]).any()
-    fast = compile_graph(resnet_graph, backend="mixgemm",
-                         gemm_backend="fast", fuse=fuse)
-    ref = compile_graph(resnet_graph, backend="numpy", fuse=fuse)
-    got, want = fast.run(x), ref.run(x)
-    assert got.output.tobytes() == want.output.tobytes()
-    # The first conv's float32 operand really holds -0.0 codes.
-    first = fast.steps[0]
-    low = next(iter(first._lowerings.values()))
-    assert low._buf.dtype == np.float32
-    assert np.signbit(low._buf[low._buf == 0]).any()

@@ -9,41 +9,20 @@ import numpy as np
 import pytest
 
 from repro.analysis.ranges import verify_plan
-from repro.core.binseg import value_range
-from repro.core.config import MixGemmConfig
-from repro.core.fastpath import kblock_group_counts
-from repro.core.gemm import MixGemm
+from repro.core import packcache
 from repro.models.builders import build_tiny
-from repro.nn.autograd import Tensor
-from repro.nn.functional_quant import weight_absmax_scale
-from repro.nn.im2col import (
-    K_ORDER_CHANNELS_LAST,
-    K_ORDER_IM2ROW,
-    channels_last_order,
-    im2row,
-    rows_to_nchw,
-    weight_matrix,
-)
-from repro.nn.layers import (
-    Flatten,
-    LayerQuantSpec,
-    QuantConv2d,
-    QuantLinear,
-    ReLU,
-    Sequential,
-    seed_init,
-)
+from repro.nn.layers import seed_init
+from repro.robustness.errors import GuardError
 from repro.robustness.faults import FaultPlan, demo_graph, demo_input
 from repro.runtime.engine import InferenceEngine
 from repro.runtime.export_modules import export_model
 from repro.runtime.graph import (
     SUPPORTED_OPS,
+    GraphBuilder,
     GraphError,
-    export_sequential,
+    NodeSpec,
 )
-from repro.quant.affine import QuantParams, quantize
-from repro.runtime.observe import set_range_hook
-from repro.runtime.plan import SIM_BLOCKING, _GuardedGemm, compile_graph
+from repro.runtime.plan import _GuardedGemm, compile_graph
 
 #: Recorded reference runs (see ``test_interpreter_golden.py``); the
 #: fused plans must reproduce them.
@@ -117,17 +96,6 @@ class TestBitExactness:
         _assert_matches_golden(plan.run(resnet_input), "resnet18", backend,
                                gemm_backend)
 
-    def test_fusion_off_is_still_exact(self, resnet_graph, resnet_input):
-        ref = compile_graph(resnet_graph, backend="mixgemm").run(
-            resnet_input)
-        plain = compile_graph(resnet_graph, backend="mixgemm",
-                              fuse=False)
-        assert plain.info.folded_batchnorms == 0
-        assert plain.info.fused_activations == 0
-        got = plain.run(resnet_input)
-        assert np.array_equal(got.output, ref.output)
-        assert got.total_cycles == ref.total_cycles
-
     def test_repeated_runs_are_stable(self):
         graph = demo_graph()
         x = demo_input()
@@ -136,15 +104,6 @@ class TestBitExactness:
         second = plan.run(x)
         assert np.array_equal(first.output, second.output)
         assert first.total_cycles == second.total_cycles
-
-    def test_batch_size_change_between_runs(self):
-        """Lowering scratch re-binds when the input shape changes."""
-        graph = demo_graph()
-        plan = compile_graph(graph, backend="mixgemm")
-        for batch in (1, 3, 2):
-            x = demo_input(batch=batch)
-            fresh = compile_graph(graph, backend="mixgemm")
-            assert np.array_equal(plan.run(x).output, fresh.run(x).output)
 
     def test_predict_matches_engine(self):
         graph = demo_graph()
@@ -238,6 +197,13 @@ class TestGuardedPlans:
         assert not any(isinstance(g, _GuardedGemm)
                        for _, gemms in _quant_steps(plan) for g in gemms)
 
+    def test_unguarded_plan_keeps_no_input_fence(self):
+        x = demo_input().copy()
+        x[0, 0, 1, 2] = np.inf
+        engine = InferenceEngine(demo_graph(), backend="numpy")
+        assert not engine.plan._fence_input
+        assert np.isfinite(engine.run(x).output).all()
+
     def test_fault_plan_recompiles_every_run(self):
         graph = demo_graph()
         x = demo_input()
@@ -267,6 +233,36 @@ class TestGuardedPlans:
         assert first.fault_events
         assert first.fault_events == second.fault_events
         assert np.array_equal(first.output, second.output)
+
+
+class TestSkippedFences:
+    """Finite-preserving ops go unscanned: their inputs are fenced."""
+
+    def test_unfenced_nodes_of_the_demo_graph(self):
+        plan = InferenceEngine(demo_graph(), backend="mixgemm",
+                               guard_level="light").plan
+        labels = demo_graph().effective_ids()
+        # conv, relu, conv, relu, flatten, linear
+        assert plan._tap.unfenced == frozenset(
+            labels[i] for i in (1, 3, 4))
+
+    @pytest.mark.parametrize("op", ["relu", "relu6", "identity",
+                                    "flatten", "max_pool2d"])
+    def test_finite_op_on_the_raw_input_is_fenced(self, op):
+        b = GraphBuilder("raw")
+        attrs = {"kernel": 2, "stride": 2} if op == "max_pool2d" else {}
+        b.add(NodeSpec(op=op, attrs=attrs, id="head"), inputs=["input"])
+        b.add(NodeSpec(op="relu", id="tail"), inputs=["head"])
+
+        # The raw input is fenced once, ahead of every step, so the
+        # finite op that reads it needs no scan of its own.
+        engine = InferenceEngine(b.build(), backend="mixgemm",
+                                 guard_level="light")
+        assert engine.plan._tap.unfenced == frozenset({"head", "tail"})
+        x = np.ones((1, 2, 4, 4))
+        x[0, 1, 2, 3] = np.nan
+        with pytest.raises(GuardError, match="after node 'input'"):
+            engine.run(x)
 
 
 class TestLiveness:
@@ -349,6 +345,25 @@ class TestPlanInfo:
         after_first = plan.pack_stats.packs
         plan.run(demo_input())
         assert plan.pack_stats.packs == after_first
+
+    @pytest.mark.parametrize("guard_level", ["off", "standard"])
+    @pytest.mark.parametrize("name", ["mobilenet_v1", "efficientnet_b0"])
+    def test_warm_runs_pack_no_weight_panel(self, name, guard_level,
+                                            monkeypatch):
+        """Activation packs evict activations first: efficientnet_b0's
+        49 weight panels stay warm in the 64-entry cache although each
+        run also packs 49 activations."""
+        seed_init(5)
+        model = build_tiny(name, act_bits=8, weight_bits=8)
+        engine = InferenceEngine(export_model(model.eval(), name=name),
+                                 backend="mixgemm", gemm_backend="event",
+                                 guard_level=guard_level)
+        x = np.random.default_rng(9).standard_normal((2, 1, 8, 8))
+        engine.run(x)
+        # From here on, packing a weight panel fails the run.
+        monkeypatch.setattr(packcache, "pack_matrix_b", None)
+        engine.run(x)
+        engine.run(x)
 
 
 class TestValidation:
@@ -457,186 +472,3 @@ class TestNarrowOperands:
             assert step._quant_act(np.zeros(3)).dtype == np.int64
             for low in getattr(step, "_lowerings", {}).values():
                 assert low._buf.dtype == np.int64
-
-
-# -- compiled-plan differential sweep ------------------------------------------
-
-#: Saturates the wide activation widths, so 16-bit AccMems really wrap.
-_SWEEP_INPUT = 8.0 * np.random.default_rng(0).normal(size=(1, 1, 24, 24))
-
-
-def _sweep_graph(act_bits, weight_bits, act_signed):
-    """conv (stride 2) -> grouped conv -> flatten -> linear, K up to 1152:
-    multi-block at SIM_BLOCKING for every activation width above 3."""
-    seed_init(act_bits * 10 + weight_bits)
-    spec = LayerQuantSpec(act_bits=act_bits, weight_bits=weight_bits,
-                          act_signed=act_signed)
-    model = Sequential(
-        QuantConv2d(1, 4, 3, spec=spec, stride=2, padding=1),
-        ReLU(),
-        QuantConv2d(4, 8, 3, spec=spec, padding=1, groups=2),
-        ReLU(),
-        Flatten(),
-        QuantLinear(8 * 12 * 12, 3, spec=spec),
-    )
-    model.eval()
-    return export_sequential(model, name="plan-sweep")
-
-
-def _check_plan_differential(act_bits, weight_bits, act_signed,
-                             accmem_bits):
-    graph = _sweep_graph(act_bits, weight_bits, act_signed)
-    plan = compile_graph(graph, backend="mixgemm", gemm_backend="fast",
-                         accmem_bits=accmem_bits)
-    got = plan.run(_SWEEP_INPUT)
-    event = InferenceEngine(graph, backend="mixgemm", gemm_backend="event",
-                            accmem_bits=accmem_bits).run(_SWEEP_INPUT)
-    assert np.array_equal(got.output, event.output)
-    assert _stats_tuples(got) == _stats_tuples(event)
-    lo_a, hi_a = value_range(act_bits, act_signed)
-    lo_b, hi_b = value_range(weight_bits, True)
-    k_max = max(g.k for _, gemms in _quant_steps(plan) for g in gemms)
-    if k_max * max(-lo_a, hi_a) * max(-lo_b, hi_b) < 1 << (accmem_bits - 1):
-        # No accumulator can wrap: the integer reference must agree too.
-        numpy = InferenceEngine(graph, backend="numpy").run(_SWEEP_INPUT)
-        assert np.array_equal(got.output, numpy.output)
-    assert verify_plan(plan) == []
-
-
-class TestPlanDifferential:
-    """Compiled fast plan vs the event engine (outputs + per-layer
-    cycles), vs the numpy reference where no AccMem can wrap, and a
-    clean plan-equivalence proof -- a 3-point tier-1 subset."""
-
-    @pytest.mark.parametrize("act_bits,weight_bits,act_signed,accmem_bits", [
-        (8, 8, False, 64),
-        (8, 8, False, 16),
-        (3, 7, True, 32),
-    ])
-    def test_subset(self, act_bits, weight_bits, act_signed, accmem_bits):
-        _check_plan_differential(act_bits, weight_bits, act_signed,
-                                 accmem_bits)
-
-    def test_subset_really_wraps(self):
-        graph = _sweep_graph(8, 8, False)
-        wrapped = compile_graph(graph, backend="mixgemm",
-                                accmem_bits=16).run(_SWEEP_INPUT)
-        numpy = InferenceEngine(graph, backend="numpy").run(_SWEEP_INPUT)
-        assert not np.array_equal(wrapped.output, numpy.output)
-
-
-@pytest.mark.slow
-class TestPlanDifferentialSweep:
-    """Every 2..8-bit pair, signed and unsigned activations, three
-    AccMem widths."""
-
-    @pytest.mark.parametrize("accmem_bits", [16, 32, 64])
-    @pytest.mark.parametrize("act_signed", [False, True])
-    @pytest.mark.parametrize("weight_bits", range(2, 9))
-    @pytest.mark.parametrize("act_bits", range(2, 9))
-    def test_all_pairs(self, act_bits, weight_bits, act_signed,
-                       accmem_bits):
-        _check_plan_differential(act_bits, weight_bits, act_signed,
-                                 accmem_bits)
-
-
-# -- graph-order wrap differential ---------------------------------------------
-
-
-def _wide_k_conv_graph():
-    """One a8w8 conv, 64 -> 4 channels at 3x3: K = 576 spans two
-    kc-blocks at SIM_BLOCKING."""
-    seed_init(21)
-    spec = LayerQuantSpec(act_bits=8, weight_bits=8, act_signed=False)
-    model = Sequential(QuantConv2d(64, 4, 3, spec=spec, padding=1,
-                                   bias=False))
-    model.eval()
-    return export_sequential(model, name="wide-k-conv")
-
-
-class TestGraphOrderWrapDifferential:
-    """A compiled conv against the event engine on ``im2row`` /
-    ``weight_matrix`` operands built straight from
-    :mod:`repro.nn.im2col`.  ``InferenceEngine`` runs the same plan, so
-    only an independent lowering catches a K-order bug where the AccMem
-    wraps."""
-
-    @pytest.mark.parametrize("accmem_bits", [16, 64])
-    def test_conv_matches_im2row_gemm(self, accmem_bits):
-        graph = _wide_k_conv_graph()
-        node = graph.nodes[0]
-        x = 8.0 * np.random.default_rng(4).standard_normal((1, 64, 5, 5))
-        plan = compile_graph(graph, backend="mixgemm", gemm_backend="fast",
-                             accmem_bits=accmem_bits)
-        accs = []
-
-        def _hook(label, kind, values):
-            if kind == "acc":
-                accs.append(values.copy())
-
-        previous = set_range_hook(_hook)
-        try:
-            got = plan.run(x)
-        finally:
-            set_range_hook(previous)
-
-        act_scale = node.attrs["act_scale"]
-        w = node.tensors["weight"]
-        w_scale = weight_absmax_scale(w, 8, channel_axis=0)
-        a = im2row(quantize(x, QuantParams(scale=act_scale, zero_point=0.0,
-                                           bits=8, signed=False)),
-                   3, 3, padding=1)
-        b = weight_matrix(quantize(w, QuantParams(
-            scale=w_scale, zero_point=0.0, bits=8, signed=True, axis=0)))
-        config = MixGemmConfig(bw_a=8, bw_b=8, signed_a=False,
-                               signed_b=True, blocking=SIM_BLOCKING,
-                               accmem_bits=accmem_bits)
-        assert len(kblock_group_counts(config, b.shape[0])) == 2
-        ref = MixGemm(config, backend="event").gemm(a, b)
-
-        assert len(accs) == 1 and np.array_equal(accs[0], ref.c)
-        assert got.layer_stats[0].cycles == ref.cycles
-        want = rows_to_nchw(ref.c.astype(np.float64)
-                            * (float(act_scale) * w_scale[None, :]), 1, 5, 5)
-        assert np.array_equal(got.output, want)
-
-        perm = channels_last_order(64, 3, 3)
-        if accmem_bits == 16:
-            # The wrap points depend on K order, so the plan must keep
-            # im2row's -- and this input really tells the orders apart.
-            assert plan.steps[0].k_order == K_ORDER_IM2ROW
-            permuted = MixGemm(config, backend="event").gemm(a[:, perm],
-                                                             b[perm])
-            assert not np.array_equal(permuted.c, ref.c)
-        else:
-            assert plan.steps[0].k_order == K_ORDER_CHANNELS_LAST
-
-
-# -- grouped convs -------------------------------------------------------------
-
-
-class TestGroupedConvPlans:
-    """Depthwise and grouped convs lower all groups with one copy and
-    write each group's output into its own column slice."""
-
-    @pytest.mark.parametrize("name", ["mobilenet_v1", "efficientnet_b0"])
-    def test_tiny_grouped_nets_at_batch_32(self, name):
-        seed_init(5)
-        model = build_tiny(name, act_bits=8, weight_bits=8)
-        model.eval()
-        graph = export_model(model, name=name)
-        assert any(n.attrs.get("groups", 1) > 1 for n in graph.nodes)
-        x = np.random.default_rng(9).standard_normal((32, 1, 8, 8))
-        plan = compile_graph(graph, backend="mixgemm")
-        got = plan.run(x)
-        numpy = compile_graph(graph, backend="numpy").run(x)
-        event = compile_graph(graph, backend="mixgemm",
-                              gemm_backend="event").run(x)
-        assert np.array_equal(got.output, numpy.output)
-        assert np.array_equal(got.output, event.output)
-        assert _stats_tuples(got) == _stats_tuples(event)
-        assert verify_plan(plan) == []
-        # The plans above share the step code; the module's own forward
-        # does not (it lowers with im2row, group by group).
-        assert np.allclose(got.output, model(Tensor(x)).data, rtol=0,
-                           atol=1e-9)

@@ -3,15 +3,15 @@
 The fast, event and numpy plan differentials all run the same epilogue
 code, so they cannot tell a wrong tiling from a right one.  These tests
 compare the wide path against what does not share it: the narrow NCHW
-sequence written out here, and an unfused plan, whose batchnorm and
-activations run as their own generic steps on NCHW arrays.
+sequence written out here.  ``test_plan_matrix.py`` holds fused plans
+to unfused ones, whose batchnorm and activations run as their own
+generic steps on NCHW arrays.
 """
 
 import numpy as np
 import pytest
 
 from repro.analysis.ranges import verify_plan
-from repro.models.builders import build_tiny
 from repro.nn.im2col import im2row, rows_to_nchw, weight_matrix
 from repro.nn.functional_quant import weight_absmax_scale
 from repro.nn.layers import (
@@ -25,16 +25,10 @@ from repro.nn.layers import (
 )
 from repro.quant.affine import QuantParams, quantize
 from repro.runtime import ops
-from repro.runtime.export_modules import export_model
 from repro.runtime.graph import GraphBuilder, NodeSpec, export_sequential
 from repro.runtime.plan import compile_graph
 
 _C, _F = 4, 8
-_TINY_NETS = ["alexnet", "vgg16", "resnet18", "mobilenet_v1",
-              "regnet_x_400mf", "efficientnet_b0"]
-#: The nets whose classifier follows a global pool, so any input size
-#: fits (alexnet and vgg16 flatten a fixed 12x12 feature map).
-_GLOBAL_POOL_NETS = _TINY_NETS[2:]
 
 
 def _conv_bn_relu6_graph(groups, quant, rng):
@@ -113,41 +107,6 @@ class TestConvStepWideFinish:
         assert len(plan.steps[0]._lowerings) == 2
         if quant:
             assert verify_plan(plan) == []
-
-
-def _tiny_graph(name):
-    seed_init(5)
-    model = build_tiny(name, act_bits=8, weight_bits=8)
-    model.eval()
-    return export_model(model, name=name)
-
-
-def _check_fused_matches_unfused(name, shape):
-    graph = _tiny_graph(name)
-    x = np.random.default_rng(3).standard_normal(shape)
-    fused = compile_graph(graph, backend="mixgemm")
-    unfused = compile_graph(graph, backend="mixgemm", fuse=False)
-    assert fused.info.folded_batchnorms + fused.info.fused_activations > 0
-    got, want = fused.run(x), unfused.run(x)
-    assert got.output.tobytes() == want.output.tobytes()
-    assert [(s.cycles, s.macs) for s in got.layer_stats] == \
-        [(s.cycles, s.macs) for s in want.layer_stats]
-    assert verify_plan(fused) == []
-
-
-class TestFusedMatchesUnfused:
-    """Fused steps finish wide; unfused ones run each batchnorm and
-    activation as its own NCHW step.  Both must agree byte for byte."""
-
-    @pytest.mark.parametrize("batch", [1, 32])
-    @pytest.mark.parametrize("name", _TINY_NETS)
-    def test_tiny_net(self, name, batch):
-        _check_fused_matches_unfused(name, (batch, 1, 12, 12))
-
-    @pytest.mark.parametrize("batch", [1, 32])
-    @pytest.mark.parametrize("name", _GLOBAL_POOL_NETS)
-    def test_odd_spatial_size(self, name, batch):
-        _check_fused_matches_unfused(name, (batch, 1, 13, 11))
 
 
 class TestUnfusedBatchNorm:
