@@ -4,8 +4,8 @@ Two interchangeable backends compute Algorithm 1:
 
 * ``event`` -- the reference path: every u-vector pair goes through the
   event-timed :class:`~repro.core.microengine.MicroEngine`, one ``bs.ip``
-  at a time.  Bit-exact, cycle-exact, and able to host fault hooks, pack
-  guards and per-access memory tracing -- but pure Python and slow.
+  at a time.  Bit-exact, cycle-exact, and able to host fault hooks and
+  pack guards -- but pure Python and slow.
 * ``fast`` -- the vectorized path (:mod:`repro.core.fastpath`): whole
   u-panels as numpy array operations plus an analytic cycle model that
   replays the engine's own micro-kernel timing, so cycles, PMU counters
@@ -15,13 +15,13 @@ Two interchangeable backends compute Algorithm 1:
 ``resolve_backend`` is the single decision point: ``MixGemm.gemm`` and
 the compiled plan's bound GEMMs both run whatever it returns, and
 nothing revises the choice afterwards.  Fidelity demands always win: a
-fault hook, pack guard or memory system needs to observe individual
-packs/accumulations/accesses, which only the event backend models, so
-their presence forces ``event`` even when ``fast`` was requested
-explicitly.  The same applies to register blockings where ``mc``/``nc``
-are not multiples of ``mr``/``nr`` -- there the event path's edge tiles
-overlap neighbouring cache blocks, an accounting the fast path
-deliberately refuses to reproduce.
+fault hook or pack guard needs to observe individual
+packs/accumulations, which only the event backend models, so their
+presence forces ``event`` even when ``fast`` was requested explicitly.
+The same applies to register blockings where ``mc``/``nc`` are not
+multiples of ``mr``/``nr`` -- there the event path's edge tiles overlap
+neighbouring cache blocks, an accounting the fast path deliberately
+refuses to reproduce.
 
 Unless ``event`` was asked for, one more configuration routes to it:
 an AccMem wider than the 64-bit container whose Eq. 5 bound over one
@@ -75,7 +75,6 @@ def resolve_backend(
     config: MixGemmConfig,
     *,
     emulate_datapath: bool = False,
-    memory: Any = None,
     fault_hook: Any = None,
     pack_guard: Any = None,
 ) -> BackendDecision:
@@ -90,10 +89,6 @@ def resolve_backend(
         raise BackendError(
             f"unknown backend {requested!r}; expected one of "
             f"{EXECUTION_BACKENDS}"
-        )
-    if memory is not None:
-        return BackendDecision(
-            EVENT, "memory system traces per-access latencies"
         )
     if fault_hook is not None:
         return BackendDecision(

@@ -87,13 +87,6 @@ class MixGemm:
         values, faster).
     costs:
         Scalar-core cost model; see :class:`KernelCosts`.
-    memory:
-        Optional cache-backed memory system (duck-typed: ``load_a(run,
-        word)``, ``load_b(run, word)`` and ``update_c(row, col)``, each
-        returning a latency in cycles -- see
-        :class:`repro.sim.trace.GemmMemorySystem`).  When given, u-vector
-        loads and C updates are charged simulated cache latencies instead
-        of the constant :class:`KernelCosts` figures.
     fault_hook:
         Optional fault injector (duck-typed; see
         :class:`repro.robustness.faults.FaultInjector`).  Its
@@ -127,7 +120,6 @@ class MixGemm:
         *,
         emulate_datapath: bool = True,
         costs: KernelCosts | None = None,
-        memory=None,
         fault_hook=None,
         pack_guard=None,
         backend: str = AUTO,
@@ -135,7 +127,6 @@ class MixGemm:
     ) -> None:
         self.config = config
         self.costs = costs or KernelCosts()
-        self.memory = memory
         self.fault_hook = fault_hook
         self.pack_guard = pack_guard
         self.emulate_datapath = emulate_datapath
@@ -171,7 +162,7 @@ class MixGemm:
         self.last_decision = resolve_backend(
             self.backend, self.config,
             emulate_datapath=self.emulate_datapath,
-            memory=self.memory, fault_hook=self.fault_hook,
+            fault_hook=self.fault_hook,
             pack_guard=self.pack_guard,
         )
         if self.last_decision.backend == FAST:
@@ -321,30 +312,14 @@ class MixGemm:
         n_groups = a_up.runs[0].n_groups
         ku_iters = max(lay.kua, lay.kub)
 
-        group_base = a_up.k_offset // lay.group_elements
-
         for g in range(n_groups):
             # The k-group's u-vectors are loaded from L1 into the RF once
             # (kua*mr + kub*nr loads) and reused across the i/j loops.
-            if self.memory is None:
-                engine.advance(
-                    costs.load_cost
-                    * (lay.kua * blk.mr + lay.kub * blk.nr)
-                    + costs.kgroup_overhead
-                )
-            else:
-                cycles = costs.kgroup_overhead
-                for j in range(min(blk.mr, a_up.valid_runs)):
-                    for w in range(lay.kua):
-                        cycles += self.memory.load_a(
-                            ir + j, (group_base + g) * lay.kua + w
-                        )
-                for i in range(min(blk.nr, b_up.valid_runs)):
-                    for w in range(lay.kub):
-                        cycles += self.memory.load_b(
-                            jr + i, (group_base + g) * lay.kub + w
-                        )
-                engine.advance(cycles)
+            engine.advance(
+                costs.load_cost
+                * (lay.kua * blk.mr + lay.kub * blk.nr)
+                + costs.kgroup_overhead
+            )
             a_groups = [run.group_words(g) for run in a_up.runs]
             for i in range(blk.nr):
                 b_words = b_up.runs[i].group_words(g)
@@ -366,10 +341,7 @@ class MixGemm:
                 value, _ = engine.read_slot(j + i * blk.mr)
                 row, col = ir + j, jr + i
                 if row < c.shape[0] and col < c.shape[1]:
-                    if self.memory is None:
-                        engine.advance(costs.c_update_cost)
-                    else:
-                        engine.advance(self.memory.update_c(row, col))
+                    engine.advance(costs.c_update_cost)
                     c[row, col] += value
 
 

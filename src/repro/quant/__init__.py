@@ -22,21 +22,17 @@ from .ptq import (
     post_training_quantize,
 )
 from .qat import (
-    LOW_PRECISION_WEIGHT_DECAY,
     PAPER_RECIPES,
     QatRecipe,
     TrainHistory,
     calibrate_activations,
     evaluate,
-    progressive_qat,
     quant_layers,
     set_model_bits,
     train_qat,
 )
 from .observers import (
     AbsMaxObserver,
-    KlDivergenceObserver,
-    MinMaxObserver,
     Observer,
     PAPER_CALIBRATION_BATCHES,
     PAPER_PERCENTILE,
@@ -60,19 +56,15 @@ __all__ = [
     "layer_quantization_snr",
     "post_training_quantize",
     "AbsMaxObserver",
-    "KlDivergenceObserver",
-    "MinMaxObserver",
     "Observer",
     "PAPER_CALIBRATION_BATCHES",
     "PAPER_PERCENTILE",
     "PercentileObserver",
-    "LOW_PRECISION_WEIGHT_DECAY",
     "PAPER_RECIPES",
     "QatRecipe",
     "TrainHistory",
     "calibrate_activations",
     "evaluate",
-    "progressive_qat",
     "quant_layers",
     "set_model_bits",
     "train_qat",

@@ -9,7 +9,8 @@ Implements exactly the quantizer family the paper accelerates::
 
 Variants supported, matching the paper's terminology:
 
-* **symmetric** (z = 0) vs **asymmetric** (z != 0);
+* **zero-point**: :class:`QuantParams` carries any z, and
+  :func:`qparams_from_range` derives the symmetric grid (z = 0);
 * **per-tensor** (scalar s) vs **per-channel** (1-D s along an axis);
 * any bitwidth from 2 to 8.
 
@@ -79,10 +80,6 @@ class QuantParams:
     def qmax(self) -> int:
         return value_range(self.bits, self.signed)[1]
 
-    @property
-    def is_symmetric(self) -> bool:
-        return bool(np.all(self.zero_point == 0))
-
     def _expand(self, values: np.ndarray, ndim: int) -> np.ndarray:
         """Reshape per-channel vectors for broadcasting against data."""
         if self.axis is None:
@@ -139,25 +136,16 @@ def qparams_from_range(
     bits: int,
     *,
     signed: bool,
-    symmetric: bool = True,
     axis: Optional[int] = None,
     eps: float = 1e-12,
 ) -> QuantParams:
-    """Derive scale/zero-point covering the real range ``[lo, hi]``.
+    """Derive the symmetric grid covering the real range ``[lo, hi]``.
 
-    With ``symmetric=True`` the zero-point is forced to 0 and the scale
-    covers ``max(|lo|, |hi|)`` (absmax); otherwise an asymmetric affine
-    grid maps ``lo -> qmin`` and ``hi -> qmax``.
+    The zero-point is 0 and the scale covers ``max(|lo|, |hi|)``
+    (absmax), the paper's scheme for weights and activations alike.
     """
-    lo = np.minimum(np.asarray(lo, dtype=np.float64), 0.0)
-    hi = np.maximum(np.asarray(hi, dtype=np.float64), 0.0)
-    qmin, qmax = value_range(bits, signed)
-    if symmetric:
-        absmax = np.maximum(np.abs(lo), np.abs(hi))
-        scale = np.maximum(absmax / qmax, eps)
-        zero_point = np.zeros_like(scale)
-    else:
-        scale = np.maximum((hi - lo) / (qmax - qmin), eps)
-        zero_point = np.round(qmin - lo / scale)
-    return QuantParams(scale=scale, zero_point=zero_point, bits=bits,
-                       signed=signed, axis=axis)
+    absmax = np.maximum(np.abs(np.asarray(lo, dtype=np.float64)),
+                        np.abs(np.asarray(hi, dtype=np.float64)))
+    scale = np.maximum(absmax / value_range(bits, signed)[1], eps)
+    return QuantParams(scale=scale, zero_point=np.zeros_like(scale),
+                       bits=bits, signed=signed, axis=axis)

@@ -6,9 +6,7 @@ Implements the Figure 3 pipeline on the numpy substrate:
 2. post-training-quantize: calibrate activation scales with the 99.999
    percentile observer, apply bias correction;
 3. retrain with fake quantization in the graph (QAT) using the paper's
-   SGD recipes (momentum 0.9, weight decay 1e-4, step LR);
-4. for extreme bitwidths, retrain progressively (a4-w4 -> a3-w3 ->
-   a2-w2), as the paper does to "improve convergence at low precision".
+   SGD recipes (momentum 0.9, weight decay 1e-4, step LR).
 
 Every network in the paper keeps its first and last layers at 8 bits "to
 preserve accuracy"; :func:`set_model_bits` enforces that by default.
@@ -64,11 +62,6 @@ PAPER_RECIPES: dict[str, QatRecipe] = {
     "efficientnet_b0": QatRecipe(lr=3.2e-3, epochs=90, lr_step=30,
                                  batch_size=64),
 }
-
-#: Weight decay for progressive low-precision retraining (Section IV-A:
-#: "with the same training settings as above except for weight decay at
-#: 5e-5").
-LOW_PRECISION_WEIGHT_DECAY = 5e-5
 
 
 @dataclass
@@ -249,36 +242,3 @@ def train_qat(
                 f"val={val_acc:.3f} lr={schedule.current_lr:.2e}"
             )
     return history
-
-
-def progressive_qat(
-    model: Module,
-    train_set: Dataset,
-    val_set: Dataset,
-    recipe: QatRecipe,
-    bit_schedule: list[tuple[Optional[int], Optional[int]]],
-    *,
-    seed: int = 0,
-    log: Optional[Callable[[str], None]] = None,
-) -> dict[str, TrainHistory]:
-    """Retrain through a decreasing bit schedule (Section IV-A).
-
-    The paper retrains a4-w3/a3-w3 from a4-w4, and a3-w2/a2-w2 from
-    a3-w3, with weight decay dropped to 5e-5 below 4 bits; this helper
-    chains those stages on one model instance.
-    """
-    histories: dict[str, TrainHistory] = {}
-    for act_bits, weight_bits in bit_schedule:
-        set_model_bits(model, act_bits, weight_bits)
-        stage = f"a{act_bits}-w{weight_bits}"
-        stage_recipe = recipe
-        if (act_bits or 8) < 4 or (weight_bits or 8) < 4:
-            stage_recipe = replace(
-                recipe, weight_decay=LOW_PRECISION_WEIGHT_DECAY
-            )
-        if log is not None:
-            log(f"--- stage {stage} ---")
-        histories[stage] = train_qat(
-            model, train_set, val_set, stage_recipe, seed=seed, log=log,
-        )
-    return histories

@@ -10,7 +10,6 @@ from .graph import (
     NodeSpec,
     export_sequential,
 )
-from .async_client import AsyncInferenceClient
 from .overload import (
     ADMISSION_POLICIES,
     AdmissionQueue,
@@ -41,7 +40,6 @@ from .sharding import ShardedServer, ShardingUnavailable
 __all__ = [
     "ADMISSION_POLICIES",
     "AdmissionQueue",
-    "AsyncInferenceClient",
     "CircuitBreaker",
     "InferenceEngine",
     "InferenceResult",

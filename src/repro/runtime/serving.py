@@ -48,8 +48,7 @@ batches out to worker processes executing a zero-copy shared plan; the
 :func:`serve` factory picks between the two behind one API (and
 degrades process sharding to this threaded pool with a
 :class:`~repro.robustness.errors.ReliabilityWarning` when the
-environment cannot support it).  The asyncio front end lives in
-:mod:`repro.runtime.async_client` and works against either flavour.
+environment cannot support it).
 """
 
 from __future__ import annotations

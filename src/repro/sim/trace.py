@@ -52,46 +52,6 @@ def _c_addr(row: int, col: int, n: int) -> int:
     return C_BASE + (row * n + col) * ACC_BYTES
 
 
-class GemmMemorySystem:
-    """Cache-backed memory system for the *functional* GEMM simulator.
-
-    Plugs into :class:`repro.core.gemm.MixGemm` (its ``memory`` hook):
-    every u-vector load and C update is charged the latency the
-    set-associative hierarchy actually produces, instead of the constant
-    issue costs of :class:`~repro.core.gemm.KernelCosts`.  This closes
-    the loop between the bit-exact simulator and the cache model: one run
-    yields exact values, exact instruction counts, and cache-accurate
-    stall cycles.
-    """
-
-    def __init__(self, m: int, n: int, k: int, config: MixGemmConfig,
-                 hierarchy: CacheHierarchy | None = None) -> None:
-        self.hierarchy = hierarchy or CacheHierarchy()
-        lay = config.layout
-        groups = math.ceil(k / lay.group_elements)
-        self._a_words_per_run = groups * lay.kua
-        self._b_words_per_run = groups * lay.kub
-        self._n = n
-
-    def load_a(self, run: int, word: int) -> int:
-        """Latency of loading one A u-vector."""
-        return self.hierarchy.load(
-            _a_addr(run, word, self._a_words_per_run), WORD_BYTES
-        )
-
-    def load_b(self, run: int, word: int) -> int:
-        """Latency of loading one B u-vector."""
-        return self.hierarchy.load(
-            _b_addr(run, word, self._b_words_per_run), WORD_BYTES
-        )
-
-    def update_c(self, row: int, col: int) -> int:
-        """Latency of the C element read-modify-write (plus the add)."""
-        addr = _c_addr(row, col, self._n)
-        return (self.hierarchy.load(addr, ACC_BYTES)
-                + self.hierarchy.store(addr, ACC_BYTES) + 1)
-
-
 def trace_gemm(
     m: int,
     n: int,

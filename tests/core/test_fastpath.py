@@ -157,8 +157,7 @@ class TestDispatch:
                                    emulate_datapath=True)
         assert decision.backend == EVENT
 
-    @pytest.mark.parametrize("hook", ["memory", "fault_hook",
-                                      "pack_guard"])
+    @pytest.mark.parametrize("hook", ["fault_hook", "pack_guard"])
     def test_fidelity_hooks_force_event(self, hook):
         # Even an explicit "fast" request loses to a fidelity hook.
         decision = resolve_backend(FAST, make_config(),

@@ -24,8 +24,8 @@ class TestQuantParams:
         assert (qp.qmin, qp.qmax) == (0, 15)
 
     def test_symmetric_flag(self):
-        assert QuantParams(0.1, 0.0, 8, True).is_symmetric
-        assert not QuantParams(0.1, 3.0, 8, False).is_symmetric
+        assert np.all(QuantParams(0.1, 0.0, 8, True).zero_point == 0)
+        assert not np.all(QuantParams(0.1, 3.0, 8, False).zero_point == 0)
 
     def test_validation(self):
         with pytest.raises(QuantError):
@@ -96,14 +96,9 @@ class TestQuantizeDequantize:
 
 class TestQParamsFromRange:
     def test_symmetric_absmax(self):
-        qp = qparams_from_range(-2.0, 1.0, 8, signed=True, symmetric=True)
+        qp = qparams_from_range(-2.0, 1.0, 8, signed=True)
         assert float(qp.scale) == pytest.approx(2.0 / 127)
-        assert qp.is_symmetric
-
-    def test_asymmetric_covers_range(self):
-        qp = qparams_from_range(-1.0, 3.0, 8, signed=False, symmetric=False)
-        assert quantize(np.array([-1.0]), qp)[0] == qp.qmin
-        assert quantize(np.array([3.0]), qp)[0] == qp.qmax
+        assert np.all(qp.zero_point == 0)
 
     def test_degenerate_range_guard(self):
         qp = qparams_from_range(0.0, 0.0, 8, signed=True)

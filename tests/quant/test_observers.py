@@ -4,32 +4,11 @@ import numpy as np
 import pytest
 
 from repro.nn.functional_quant import weight_absmax_scale
-from repro.quant.affine import QuantError, quantize
+from repro.quant.affine import QuantError
 from repro.quant.observers import (
     AbsMaxObserver,
-    MinMaxObserver,
     PercentileObserver,
 )
-
-
-class TestMinMaxObserver:
-    def test_tracks_running_extremes(self):
-        obs = MinMaxObserver(8, signed=False)
-        obs.observe(np.array([0.0, 1.0]))
-        obs.observe(np.array([-2.0, 0.5]))
-        qp = obs.quant_params()
-        assert quantize(np.array([-2.0]), qp)[0] == qp.qmin
-        assert quantize(np.array([1.0]), qp)[0] == qp.qmax
-
-    def test_requires_data(self):
-        with pytest.raises(QuantError):
-            MinMaxObserver(8).quant_params()
-
-    def test_per_channel(self):
-        obs = MinMaxObserver(8, signed=True, axis=0)
-        obs.observe(np.array([[1.0, -1.0], [4.0, -0.5]]))
-        qp = obs.quant_params()
-        assert qp.scale.shape == (2,)
 
 
 class TestAbsMaxObserver:
@@ -37,8 +16,12 @@ class TestAbsMaxObserver:
         obs = AbsMaxObserver(4, signed=True)
         obs.observe(np.array([-3.5, 1.0]))
         qp = obs.quant_params()
-        assert qp.is_symmetric
+        assert np.all(qp.zero_point == 0)
         assert float(qp.scale) == pytest.approx(3.5 / 7)
+
+    def test_requires_data(self):
+        with pytest.raises(QuantError):
+            AbsMaxObserver(8).quant_params()
 
     def test_per_channel_weights(self):
         # The paper's weight scheme: per-output-channel absmax.

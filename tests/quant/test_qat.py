@@ -1,4 +1,4 @@
-"""QAT pipeline tests: recipes, calibration, training, progressive runs."""
+"""QAT pipeline tests: recipes, calibration, training."""
 
 import numpy as np
 import pytest
@@ -16,12 +16,10 @@ from repro.nn.layers import (
     seed_init,
 )
 from repro.quant.qat import (
-    LOW_PRECISION_WEIGHT_DECAY,
     PAPER_RECIPES,
     QatRecipe,
     calibrate_activations,
     evaluate,
-    progressive_qat,
     quant_layers,
     set_model_bits,
     train_qat,
@@ -143,20 +141,6 @@ class TestTraining:
         history = train_qat(model, train, val, recipe)
         assert len(history.val_accuracy) == 2
         assert len(history.train_accuracy) == 2
-
-    def test_progressive_lowers_weight_decay(self, dataset):
-        train, val = dataset
-        model = make_tiny_qcnn()
-        recipe = QatRecipe(lr=0.01, epochs=1, lr_step=1, batch_size=64)
-        logs = []
-        histories = progressive_qat(
-            model, train, val, recipe,
-            bit_schedule=[(4, 4), (3, 3)],
-            log=logs.append,
-        )
-        assert set(histories) == {"a4-w4", "a3-w3"}
-        assert any("a3-w3" in line for line in logs)
-        assert LOW_PRECISION_WEIGHT_DECAY == 5e-5
 
 
 class TestAccuracyBitwidthTrend:

@@ -78,13 +78,11 @@ def test_dequantize_quantize_roundtrip(case):
     st.floats(min_value=-100, max_value=0),
     st.floats(min_value=0, max_value=100),
     bits_strategy,
-    st.booleans(),
 )
 @settings(max_examples=200, deadline=None)
-def test_qparams_cover_requested_range(lo, hi, bits, symmetric):
+def test_qparams_cover_requested_range(lo, hi, bits):
     """The derived grid represents both endpoints within one step."""
-    qp = qparams_from_range(lo, hi, bits, signed=True,
-                            symmetric=symmetric)
+    qp = qparams_from_range(lo, hi, bits, signed=True)
     scale = float(qp.scale)
     for endpoint in (lo, hi):
         fq = float(fake_quantize(np.array([endpoint]), qp)[0])

@@ -310,6 +310,43 @@ class TestDeadlines:
                 server.submit(_inputs(1)[0], deadline_ms=-5.0)
 
 
+# -- client-side cancellation -------------------------------------------------
+
+
+class TestCancellation:
+    def test_cancelled_queued_future_is_never_executed(self, graph):
+        """A future cancelled while queued behind a stalled batch is
+        counted ``cancelled`` and the worker skips it without
+        executing."""
+        entered = threading.Event()
+        release = threading.Event()
+        server = BatchedServer(graph, workers=1, max_batch=1,
+                               max_wait_ms=0.0)
+        hook_batches = []
+
+        def hook(route, live):
+            hook_batches.append(len(live))
+            entered.set()
+            release.wait(10)
+
+        server._batch_hook = hook
+        try:
+            blocker = server.submit(_inputs(1)[0])
+            assert entered.wait(10)  # blocker holds the only worker
+            victim = server.submit(_inputs(1, seed=4)[0])
+            assert victim.cancel()
+        finally:
+            release.set()
+            server.close()
+        assert blocker.result(timeout=30).output.shape == (3,)
+        assert victim.cancelled()
+        snap = server.overload_snapshot()
+        assert snap["counters"].get("cancelled", 0) >= 1
+        # Only the blocker's batch ever reached a worker with live
+        # members: the cancelled request never spent a GEMM slot.
+        assert hook_batches == [1]
+
+
 # -- the 10x-capacity integration test ----------------------------------------
 
 
