@@ -12,8 +12,7 @@ Gathers every tunable the paper exposes (Sections III-A, III-C, Table I):
 from __future__ import annotations
 
 import itertools
-import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .binseg import (
     SUPPORTED_BITWIDTHS,
@@ -134,10 +133,6 @@ class UVectorLayout:
         """Padded fraction of all issued slots (paper: 2.4% on average)."""
         total = self.slots_a + self.slots_b
         return self.padded_slots / total
-
-    def groups_for_k(self, k: int) -> int:
-        """Innermost iterations needed to cover a k-long inner product."""
-        return math.ceil(k / self.group_elements)
 
     def consistency_problems(self) -> list[str]:
         """Static layout-contract violations, empty when well-formed.
@@ -372,10 +367,6 @@ class MixGemmConfig:
         """Per-matrix problem-size reduction versus the 64-bit DGEMM
         baseline (paper: "from 8x to 32x")."""
         return self.word_bits / self.bw_a, self.word_bits / self.bw_b
-
-    def with_sizes(self, bw_a: int, bw_b: int) -> "MixGemmConfig":
-        """Derive a config for different data sizes, re-solving kua/kub."""
-        return replace(self, bw_a=bw_a, bw_b=bw_b, kua=None, kub=None)
 
     def describe(self) -> str:
         lay = self.layout

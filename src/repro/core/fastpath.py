@@ -44,10 +44,10 @@ kc-block sum to exactly ``m * n``.
 
 The timing source *is* the production micro-kernel, so cycles, PMU
 counters and instruction counts match the event backend exactly -- the
-differential suite in ``tests/core/test_fastpath.py`` asserts equality,
-not approximation.  Configurations the model cannot reproduce (register
-blockings that overlap cache blocks, >64-bit AccMems near int64
-overflow) never reach this module:
+GEMM differential matrix in ``tests/core/test_gemm_matrix.py`` asserts
+equality, not approximation.  Configurations the model does not take
+(register blockings whose edge tiles overlap cache blocks, >64-bit
+AccMems near int64 overflow) never reach this module:
 :func:`repro.core.backend.resolve_backend` routes them to the event
 backend before dispatch.
 """

@@ -286,11 +286,15 @@ class MixGemm:
         ic: int, mc: int, jc: int, nc: int, k_lo: int, k_hi: int,
     ) -> None:
         blk = self.config.blocking
+        # An edge tile of a block whose mc/nc is not a multiple of mr/nr
+        # reaches into the next block; its cells there are that block's
+        # to update, so the tile writes only through this block's view.
+        c_blk = c[:ic + mc, :jc + nc]
         for jr in range(jc, jc + nc, blk.nr):
             b_up = create_micro_panel(packed_b, jr, blk.nr, k_lo, k_hi)
             for ir in range(ic, ic + mc, blk.mr):
                 a_up = create_micro_panel(packed_a, ir, blk.mr, k_lo, k_hi)
-                self._micro_kernel(a_up, b_up, c, ir, jr)
+                self._micro_kernel(a_up, b_up, c_blk, ir, jr)
 
     def _micro_kernel(
         self,

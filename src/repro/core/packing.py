@@ -271,12 +271,10 @@ class MicroPanel:
 
     ``runs[i]`` is the group-aligned word list of run ``i`` restricted to
     the panel's k range.  Runs past the matrix edge are zero (BLIS edge
-    handling), recorded via ``valid_runs``.
+    handling).
     """
 
     runs: tuple[KVector, ...]
-    valid_runs: int
-    k_offset: int
 
     @property
     def n_groups(self) -> int:
@@ -317,16 +315,14 @@ def create_micro_panel(
 ) -> MicroPanel:
     """Cut an ``r``-run u-panel out of a packed matrix (CreateuPanel)."""
     runs: list[KVector] = []
-    valid = 0
     template: KVector | None = None
     for i in range(run_lo, run_lo + r):
         if i < packed.n_runs:
             kv = _slice_kvector(packed.kvectors[i], k_lo, k_hi)
             runs.append(kv)
             template = kv
-            valid += 1
         else:
             if template is None:
                 template = _slice_kvector(packed.kvectors[0], k_lo, k_hi)
             runs.append(_zero_kvector(template))
-    return MicroPanel(runs=tuple(runs), valid_runs=valid, k_offset=k_lo)
+    return MicroPanel(runs=tuple(runs))

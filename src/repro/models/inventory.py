@@ -94,10 +94,6 @@ class NetworkInventory:
         return [l for l in self.layers if l.kind != "fc"]
 
     @property
-    def fc_layers(self) -> list[LayerSpec]:
-        return [l for l in self.layers if l.kind == "fc"]
-
-    @property
     def total_macs(self) -> int:
         return sum(l.macs for l in self.layers)
 
@@ -114,9 +110,6 @@ class NetworkInventory:
     def weight_bytes(self, bits: int) -> float:
         """Model size at a uniform weight bitwidth."""
         return self.total_weights * bits / 8
-
-    def macs_fraction(self, layer: LayerSpec) -> float:
-        return layer.macs / self.total_macs
 
 
 # ---------------------------------------------------------------------------

@@ -78,9 +78,6 @@ class Tensor:
         grad_flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}{grad_flag})"
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy())
-
     def zero_grad(self) -> None:
         self.grad = None
 
@@ -321,21 +318,6 @@ class Tensor:
         return self._node(out_data, (self,), backward)
 
     # -- shape utilities ---------------------------------------------------------------------
-
-    def pad2d(self, pad_h: int, pad_w: int) -> "Tensor":
-        """Zero-pad the two trailing (spatial) axes of an NCHW tensor."""
-        if pad_h == 0 and pad_w == 0:
-            return self
-        pads = [(0, 0)] * (self.ndim - 2) + [(pad_h, pad_h), (pad_w, pad_w)]
-        out_data = np.pad(self.data, pads)
-        h, w = self.shape[-2], self.shape[-1]
-
-        def backward(grad: np.ndarray) -> None:
-            sl = [slice(None)] * (self.ndim - 2)
-            sl += [slice(pad_h, pad_h + h), slice(pad_w, pad_w + w)]
-            Tensor._accumulate(self, grad[tuple(sl)])
-
-        return self._node(out_data, (self,), backward)
 
 
 def softmax_cross_entropy(logits: Tensor,

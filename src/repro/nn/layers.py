@@ -75,9 +75,6 @@ class Module:
     def __call__(self, x: Tensor) -> Tensor:
         return self.forward(x)
 
-    def num_parameters(self) -> int:
-        return sum(p.size for p in self.parameters())
-
 
 def _kaiming(shape: tuple[int, ...], fan_in: int,
              rng: np.random.Generator) -> np.ndarray:

@@ -8,7 +8,7 @@ exactly that recipe.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -78,19 +78,3 @@ class StepLR:
     def current_lr(self) -> float:
         return self.optimizer.lr
 
-
-class MultiStepLR:
-    """Decay at explicit epoch milestones (used for fine-tune recipes)."""
-
-    def __init__(self, optimizer: SGD, milestones: Sequence[int],
-                 gamma: float = 0.1) -> None:
-        self.optimizer = optimizer
-        self.milestones = sorted(milestones)
-        self.gamma = gamma
-        self.base_lr = optimizer.lr
-        self.epoch = 0
-
-    def step(self) -> None:
-        self.epoch += 1
-        decays = sum(1 for m in self.milestones if self.epoch >= m)
-        self.optimizer.lr = self.base_lr * (self.gamma ** decays)

@@ -21,7 +21,7 @@ per-tensor activations, both with zero-point 0; those presets are in
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -87,18 +87,6 @@ class QuantParams:
         shape = [1] * ndim
         shape[self.axis] = values.size
         return values.reshape(shape)
-
-    def with_bits(self, bits: int) -> "QuantParams":
-        """Same parameters re-targeted at a different bitwidth.
-
-        The scale is adjusted so the represented real range is preserved
-        (each halving of levels doubles the step).
-        """
-        factor = (self.qmax - self.qmin) / (
-            value_range(bits, self.signed)[1]
-            - value_range(bits, self.signed)[0]
-        )
-        return replace(self, scale=self.scale * factor, bits=bits)
 
 
 def quantize(x: np.ndarray, qp: QuantParams) -> np.ndarray:

@@ -77,12 +77,6 @@ class TestUVectorLayout:
         assert lay.padded_slots == 0
         assert lay.padding_fraction == 0.0
 
-    def test_groups_for_k(self):
-        lay = UVectorLayout(bw_a=8, bw_b=8, kua=4, kub=4)
-        assert lay.groups_for_k(32) == 1
-        assert lay.groups_for_k(33) == 2
-        assert lay.groups_for_k(1) == 1
-
     def test_average_padding_near_paper(self):
         # Section III-C: padding overhead with kua = kub <= 4 is 2.4% on
         # average across supported configurations.  Our selection achieves
@@ -160,12 +154,6 @@ class TestMixGemmConfig:
     def test_compression(self):
         ca, cb = MixGemmConfig(bw_a=8, bw_b=2).compression_vs_fp64
         assert (ca, cb) == (8.0, 32.0)
-
-    def test_with_sizes_resolves_new_ku(self):
-        cfg = MixGemmConfig(bw_a=8, bw_b=8)
-        derived = cfg.with_sizes(6, 4)
-        assert (derived.kua, derived.kub) == (3, 2)
-        assert derived.blocking == cfg.blocking
 
     def test_describe(self):
         text = MixGemmConfig(bw_a=8, bw_b=6).describe()

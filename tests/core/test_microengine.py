@@ -5,7 +5,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from repro.core.binseg import SUPPORTED_BITWIDTHS, value_range
+from repro.core.binseg import value_range
 from repro.core.config import (
     BlockingParams,
     MixGemmConfig,
@@ -321,46 +321,25 @@ def _ragged_operands(cfg, seed):
 
 
 @pytest.mark.slow
-class TestEventGemmDifferential:
-    """Whole event-backend GEMMs: the emulated datapath, the direct
-    inner product and ``reference_gemm`` agree on C, and both engine
-    modes report identical cycles and PMU counters."""
+def test_accmem_fault_lands_identically():
+    from repro.robustness.faults import FaultInjector, FaultPlan, FaultSpec
 
-    @pytest.mark.parametrize("signed_a, signed_b", SIGNEDNESS)
-    @pytest.mark.parametrize("bw_b", SUPPORTED_BITWIDTHS)
-    @pytest.mark.parametrize("bw_a", SUPPORTED_BITWIDTHS)
-    def test_ragged_gemm(self, bw_a, bw_b, signed_a, signed_b):
-        cfg = MixGemmConfig(bw_a=bw_a, bw_b=bw_b, signed_a=signed_a,
-                            signed_b=signed_b, blocking=RAGGED_BLOCKING)
-        a, b = _ragged_operands(cfg, seed=bw_a * 100 + bw_b * 10
-                                + 2 * signed_a + signed_b)
-        c, cycles, pmu = _event_gemm(cfg, a, b, emulate_datapath=True)
-        c_direct, cycles_direct, pmu_direct = _event_gemm(
-            cfg, a, b, emulate_datapath=False)
-        np.testing.assert_array_equal(c, reference_gemm(a, b))
-        np.testing.assert_array_equal(c_direct, c)
-        assert cycles == cycles_direct
-        assert pmu == pmu_direct
-
-    def test_accmem_fault_lands_identically(self):
-        from repro.robustness.faults import FaultInjector, FaultPlan, FaultSpec
-
-        cfg = MixGemmConfig(bw_a=6, bw_b=4, blocking=RAGGED_BLOCKING)
-        a, b = _ragged_operands(cfg, seed=7)
-        runs, injected = [], []
-        for emulate in (True, False):
-            injector = FaultInjector(FaultPlan(
-                faults=(FaultSpec(site="accmem", index=3, bit=21),)))
-            runs.append(_event_gemm(cfg, a, b, emulate_datapath=emulate,
-                                    fault_hook=injector))
-            injected.append([f.description for f in injector.injected])
-        (c, cycles, pmu), (c_direct, cycles_direct, pmu_direct) = runs
-        assert len(injected[0]) == 1
-        assert injected[0] == injected[1]
-        assert not np.array_equal(c, reference_gemm(a, b))
-        np.testing.assert_array_equal(c_direct, c)
-        assert cycles == cycles_direct
-        assert pmu == pmu_direct
+    cfg = MixGemmConfig(bw_a=6, bw_b=4, blocking=RAGGED_BLOCKING)
+    a, b = _ragged_operands(cfg, seed=7)
+    runs, injected = [], []
+    for emulate in (True, False):
+        injector = FaultInjector(FaultPlan(
+            faults=(FaultSpec(site="accmem", index=3, bit=21),)))
+        runs.append(_event_gemm(cfg, a, b, emulate_datapath=emulate,
+                                fault_hook=injector))
+        injected.append([f.description for f in injector.injected])
+    (c, cycles, pmu), (c_direct, cycles_direct, pmu_direct) = runs
+    assert len(injected[0]) == 1
+    assert injected[0] == injected[1]
+    assert not np.array_equal(c, reference_gemm(a, b))
+    np.testing.assert_array_equal(c_direct, c)
+    assert cycles == cycles_direct
+    assert pmu == pmu_direct
 
 
 #: ``(config, source_buffer_depth, (m, k, n))`` -> ``(C checksum, cycles,

@@ -139,7 +139,7 @@ class TestPanels:
         a = np.arange(2 * 32, dtype=np.int64).reshape(2, 32) % 100 - 50
         packed = pack_matrix_a(a, cfg)
         up = create_micro_panel(packed, 0, 4, 0, 32)
-        assert up.valid_runs == 2
+        assert up.runs[0].unpack() == list(a[0])
         assert all(w == 0 for w in up.runs[2].words)
         assert all(w == 0 for w in up.runs[3].words)
 
@@ -148,7 +148,7 @@ class TestPanels:
         a = np.arange(4 * 64, dtype=np.int64).reshape(4, 64) % 100 - 50
         packed = pack_matrix_a(a, cfg)
         up = create_micro_panel(packed, 0, 4, 32, 64)
-        assert up.k_offset == 32
+        assert up.runs[0].k == 32
         assert up.runs[0].unpack() == list(a[0, 32:64])
 
     def test_unaligned_k_slice_rejected(self):
@@ -165,7 +165,7 @@ class TestPanels:
         a = np.arange(10 * 32, dtype=np.int64).reshape(10, 32) % 100 - 50
         packed = pack_matrix_a(a, cfg)
         up = create_micro_panel(packed, 8, 4, 0, 32)
-        assert up.valid_runs == 2
+        assert up.runs[0].unpack() == list(a[8])
         assert up.runs[1].unpack() == list(a[9])
         assert up.runs[2].unpack() == [0] * 32
         assert up.runs[3].unpack() == [0] * 32

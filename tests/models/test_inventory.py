@@ -79,7 +79,7 @@ class TestLayerGeometry:
     def test_vgg16_has_13_convs_3_fcs(self):
         net = get_network("vgg16")
         assert len(net.conv_layers) == 13
-        assert len(net.fc_layers) == 3
+        assert len(net.layers) - len(net.conv_layers) == 3
 
     def test_regnet_group_convs(self):
         net = get_network("regnet_x_400mf")
@@ -109,11 +109,6 @@ class TestRegistry:
     def test_unknown_network(self):
         with pytest.raises(KeyError):
             get_network("lenet")
-
-    def test_macs_fraction_sums_to_one(self):
-        net = get_network("resnet18")
-        total = sum(net.macs_fraction(l) for l in net.layers)
-        assert total == pytest.approx(1.0)
 
 
 class TestTable3Convolution:

@@ -116,10 +116,6 @@ class TestMatrixGrads:
         check_grad(lambda x: x.T, rng.normal(size=(3, 4)))
         check_grad(lambda x: x.reshape(12), rng.normal(size=(3, 4)))
 
-    def test_pad2d(self):
-        check_grad(lambda x: x.pad2d(1, 2),
-                   rng.normal(size=(2, 3, 4, 5)))
-
 
 class TestReductions:
     def test_sum_axis(self):
@@ -162,11 +158,6 @@ class TestBackwardMechanics:
         (x * 2).backward()
         x.zero_grad()
         assert x.grad is None
-
-    def test_detach_cuts_tape(self):
-        x = Tensor(np.array([1.0]), requires_grad=True)
-        d = x.detach()
-        assert not d.requires_grad
 
     def test_wrapping_tensor_rejected(self):
         with pytest.raises(TypeError):

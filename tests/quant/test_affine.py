@@ -42,14 +42,6 @@ class TestQuantParams:
         assert qp.axis == 0
         assert qp.scale.shape == (3,)
 
-    def test_with_bits_preserves_range(self):
-        qp8 = QuantParams(scale=0.01, zero_point=0.0, bits=8, signed=True)
-        qp4 = qp8.with_bits(4)
-        # Representable max should be (nearly) unchanged.
-        assert qp4.qmax * qp4.scale == pytest.approx(
-            qp8.qmax * qp8.scale, rel=0.1
-        )
-
 
 class TestQuantizeDequantize:
     def test_equation1_rounding_and_clamping(self):
