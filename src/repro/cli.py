@@ -502,7 +502,8 @@ def build_parser() -> argparse.ArgumentParser:
                    dest="max_batch")
     p.add_argument("--max-wait-ms", type=float, default=2.0,
                    dest="max_wait_ms",
-                   help="micro-batcher deadline window")
+                   help="micro-batcher straggler window, held only "
+                        "while at most one worker is idle")
     p.add_argument("--queue-capacity", type=int, default=64,
                    dest="queue_capacity",
                    help="bound on the admission queue")

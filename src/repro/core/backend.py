@@ -18,10 +18,6 @@ nothing revises the choice afterwards.  Fidelity demands always win: a
 fault hook or pack guard needs to observe individual
 packs/accumulations, which only the event backend models, so their
 presence forces ``event`` even when ``fast`` was requested explicitly.
-The same applies to register blockings where ``mc``/``nc`` are not
-multiples of ``mr``/``nr`` -- there the event path's edge tiles overlap
-neighbouring cache blocks, an accounting the fast path deliberately
-refuses to reproduce.
 
 Unless ``event`` was asked for, one more configuration routes to it:
 an AccMem wider than the 64-bit container whose Eq. 5 bound over one
@@ -97,13 +93,6 @@ def resolve_backend(
     if pack_guard is not None:
         return BackendDecision(
             EVENT, "pack guard checksums the packed operands"
-        )
-    blk = config.blocking
-    if blk.mc % blk.mr or blk.nc % blk.nr:
-        return BackendDecision(
-            EVENT,
-            f"blocking mc={blk.mc}/nc={blk.nc} not a multiple of "
-            f"mr={blk.mr}/nr={blk.nr}; edge tiles overlap cache blocks",
         )
     if requested == EVENT:
         return BackendDecision(EVENT, "event backend explicitly requested")

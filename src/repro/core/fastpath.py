@@ -39,16 +39,15 @@ over the blocked loop geometry (:func:`gemm_tile_counts`,
 :func:`kblock_group_counts`).  The engine is the only timing source:
 the per-phase cost report in :mod:`repro.analysis.cost` reads the same
 :func:`fastpath_timing`.  The C-update cycles are added analytically:
-with ``mc % mr == 0`` and ``nc % nr == 0`` the in-range cells of each
-kc-block sum to exactly ``m * n``.
+each tile writes only through its own cache block's view of C, so the
+in-range cells of each kc-block sum to exactly ``m * n``.
 
 The timing source *is* the production micro-kernel, so cycles, PMU
 counters and instruction counts match the event backend exactly -- the
 GEMM differential matrix in ``tests/core/test_gemm_matrix.py`` asserts
-equality, not approximation.  Configurations the model does not take
-(register blockings whose edge tiles overlap cache blocks, >64-bit
-AccMems near int64 overflow) never reach this module:
-:func:`repro.core.backend.resolve_backend` routes them to the event
+equality, not approximation.  The one configuration the model does not
+take (a >64-bit AccMem near int64 overflow) never reaches this module:
+:func:`repro.core.backend.resolve_backend` routes it to the event
 backend before dispatch.
 """
 

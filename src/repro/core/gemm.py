@@ -104,8 +104,8 @@ class MixGemm:
         ``"event"``, ``"fast"`` or ``"auto"`` (the default).  Each
         :meth:`gemm` call runs the backend
         :func:`repro.core.backend.resolve_backend` picks -- hooks that
-        need event fidelity, misaligned blockings and >64-bit AccMems
-        past int64 always get ``event`` -- and keeps that decision on
+        need event fidelity and >64-bit AccMems past int64 always get
+        ``event`` -- and keeps that decision on
         :attr:`last_decision`.
     pack_cache:
         Optional :class:`~repro.core.packcache.PackingCache` consulted

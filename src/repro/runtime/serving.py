@@ -14,10 +14,14 @@ single-process core of that story:
   absolute deadline on the request; the batcher sheds expired requests
   before they reach a worker and cuts batches early so a near-deadline
   member is not held for stragglers;
-* a **dynamic micro-batcher**: the first request of a batch opens a
-  deadline window (``max_wait_ms``); further requests join until the
-  window closes, ``max_batch`` is reached, or a member's deadline
-  forces an early cut;
+* a **work-conserving micro-batcher**: a batch takes the requests
+  already queued, up to ``max_batch``.  It holds a deadline window
+  (``max_wait_ms``, opened by its first request) for stragglers only
+  while at most one runner is idle; with a second runner idle it
+  dispatches at once, since waiting would buy no batching.  A
+  member's deadline can cut the window early.  With one worker every
+  batch holds the window; under load requests pile up while every
+  runner is busy, so batches still fill;
 * a **worker pool** of compiled :class:`~repro.runtime.plan.GraphPlan`
   instances behind a ``ThreadPoolExecutor``.  Plans hold mutable
   scratch state and are not thread-safe, so each worker owns a private
@@ -236,7 +240,10 @@ class BatchedServer:
         Upper bound on the dynamic batch size.
     max_wait_ms:
         How long the batcher holds an open batch for stragglers.  The
-        first queued request starts the clock; ``0`` degenerates to
+        first queued request starts the clock.  The window is held
+        only while at most one runner is idle (always, with
+        ``workers=1``); with a second runner idle the batch leaves
+        with what is already queued.  ``0`` degenerates to
         batch-per-request.  A member's deadline can cut the window
         short.
     queue_capacity:
@@ -612,8 +619,15 @@ class BatchedServer:
                 remaining = cut - time.perf_counter()
                 if remaining <= 0:
                     break
+                # Work-conserving: hold the window for stragglers only
+                # while at most one runner is idle.  With a second one
+                # idle, waiting buys no batching, so take what is
+                # already queued and dispatch.
                 try:
-                    item = self._admission.get(timeout=remaining)
+                    if self._runners.qsize() > 1:
+                        item = self._admission.get_nowait()
+                    else:
+                        item = self._admission.get(timeout=remaining)
                 except queue.Empty:
                     break
                 if item is _STOP:

@@ -122,11 +122,6 @@ class TestDispatch:
                                    **{hook: object()})
         assert decision.backend == EVENT
 
-    def test_misaligned_blocking_forces_event(self):
-        blk = BlockingParams(mc=10, nc=8, kc=2, mr=4, nr=4)
-        decision = resolve_backend(FAST, make_config(blocking=blk))
-        assert decision.backend == EVENT
-
     def test_int64_block_bound_forces_event(self):
         # The smallest kc whose Eq. 5 block bound reaches 2**63 at
         # signed a8-w8: 2**46 u-vectors = 2**49 elements * 2**14.

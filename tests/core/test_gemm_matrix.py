@@ -268,8 +268,7 @@ def _slow_rows():
     for bits, signed in itertools.product(((8, 8), (2, 2), (8, 2)),
                                           _SIGNEDNESS):
         yield Row(bits, (13, 700, 11), signed, "table1", c_init=True)
-    yield Row(shape=(13, 67, 21), blocking=(10, 8, 2, 4, 4), cores=3,
-              backend="event")
+    yield Row(shape=(13, 67, 21), blocking=(10, 8, 2, 4, 4), cores=3)
     yield Row(shape=(5, 300, 6), signed=(False, False), accmem=128,
               blocking=(8, 8, 1 << 46, 4, 4), backend="event")
 
@@ -326,8 +325,11 @@ _TIER1 = [
     Row(shape=(8, 96, 4), blocking=(8, 8, 64, 4, 4), cores=8),
     Row((4, 4), (8, 96, 16), blocking=(8, 8, 64, 4, 4), cores=3),
     Row(shape=(3, 20, 5), cores=1),
-    # Event only: a misaligned mc, and a block bound past int64.
-    Row(shape=(13, 20, 7), blocking=(10, 8, 2, 4, 4), backend="event"),
+    # Misaligned blockings: mc (and nc) off the register tile, so the
+    # last tile of each cache block is cut at the block's edge.
+    Row(shape=(13, 20, 7), blocking=(10, 8, 2, 4, 4)),
+    Row(shape=(25, 67, 21), blocking=(10, 6, 2, 4, 4)),
+    # Event only: a block bound past int64.
     Row(shape=(5, 37, 6), accmem=128, blocking=(8, 8, 1 << 46, 4, 4),
         backend="event"),
 ]

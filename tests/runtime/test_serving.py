@@ -132,6 +132,28 @@ class TestStats:
         assert isinstance(payload["batch_histogram"], dict)
 
 
+class TestBatchingPolicy:
+    """The batcher holds its window only while at most one runner is
+    idle."""
+
+    def test_lone_request_on_idle_pool_is_not_held(self, graph):
+        with BatchedServer(graph, workers=2,
+                           max_wait_ms=10_000.0) as server:
+            response = server.submit(_inputs(1)[0]).result(timeout=5)
+        assert response.latency_ms < 2_000
+
+    def test_single_worker_holds_the_window(self, graph):
+        with BatchedServer(graph, workers=1, max_batch=8,
+                           max_wait_ms=200.0) as server:
+            report = server.run_requests(_inputs(4))
+        assert report.stats.batch_histogram == {4: 1}
+
+    def test_burst_still_batches(self, graph):
+        with BatchedServer(graph, workers=2, max_batch=8) as server:
+            report = server.run_requests(_inputs(64))
+        assert report.stats.mean_batch_size > 1
+
+
 class TestLifecycle:
     def test_submit_after_close_rejected(self, graph):
         server = BatchedServer(graph, workers=1)

@@ -53,6 +53,14 @@ class TestCorrectness:
             assert np.array_equal(a, b)
 
 
+class TestBatchingPolicy:
+    def test_lone_request_on_idle_pool_is_not_held(self, graph):
+        with ShardedServer(graph, workers=2, backend="mixgemm",
+                           max_wait_ms=10_000.0) as server:
+            response = server.submit(_inputs(1)[0]).result(timeout=5)
+        assert response.latency_ms < 2_000
+
+
 class TestZeroCopy:
     def test_one_segment_no_private_plan_bytes(self, graph):
         with ShardedServer(graph, workers=2, backend="mixgemm") as server:
